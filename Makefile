@@ -22,14 +22,10 @@ test:
 check:
 	./scripts/check.sh
 
-# bench runs the Go benchmarks once each, then the instrumented
-# deployment benchmark (BENCH_core.json + BENCH_obs.json) and the
-# result-cache benchmark (BENCH_cache.json: hot-read speedup and
-# miss-path overhead).
+# bench runs the root Go benchmarks once each. End-to-end performance
+# is measured by the bench/ harness (bash bench/run.sh).
 bench:
 	go test -bench . -benchtime 1x -run '^$$' .
-	go run ./cmd/mpbench -exp bench -scale small
-	go run ./cmd/mpbench -exp cache -scale small
 
 # fuzz runs each fuzz target for longer than the check-gate smoke.
 fuzz:

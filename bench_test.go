@@ -6,9 +6,11 @@ package matproj
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"matproj/internal/cluster"
 	"matproj/internal/datastore"
 	"matproj/internal/dfs"
 	"matproj/internal/dft"
@@ -19,7 +21,6 @@ import (
 	"matproj/internal/mapreduce"
 	"matproj/internal/obs"
 	"matproj/internal/queryengine"
-	"matproj/internal/shard"
 )
 
 // benchScale keeps per-iteration work small enough for stable timing.
@@ -413,25 +414,40 @@ func BenchmarkMapReduceStaged(b *testing.B) {
 
 // --- §IV-D2: sharded scatter-gather ------------------------------------------
 
+// BenchmarkShardedQuery times an un-keyed range read scatter-gathered by
+// the shipping cluster.Router over 1, 2 and 4 single-member shard groups
+// on loopback httptest nodes, so it includes the wire encode/decode and
+// the router's global re-merge. The result cache is off: every iteration
+// reaches the nodes.
 func BenchmarkShardedQuery(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cl, err := shard.NewCluster(shard.Options{Shards: shards})
+			var groups [][]string
+			for gi := 0; gi < shards; gi++ {
+				srv := httptest.NewServer(cluster.NewNode(fmt.Sprintf("node-%d", gi), datastore.MustOpenMemory(), nil))
+				b.Cleanup(srv.Close)
+				groups = append(groups, []string{srv.URL})
+			}
+			router, err := cluster.NewRouter(cluster.RouterOptions{Groups: groups})
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < 8000; i++ {
-				if _, err := cl.Insert("materials", document.D{
+			b.Cleanup(router.Close)
+			docs := make([]document.D, 8000)
+			for i := range docs {
+				docs[i] = document.D{
 					"nelectrons": int64(30 + i%400),
 					"formula":    fmt.Sprintf("F%d", i),
-				}); err != nil {
-					b.Fatal(err)
 				}
 			}
+			if _, err := router.InsertMany("materials", docs); err != nil {
+				b.Fatal(err)
+			}
+			materials := router.C("materials")
 			filter := document.MustFromJSON(`{"nelectrons": {"$lte": 200}}`)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.FindAll("materials", filter, nil, shard.ReadPrimary); err != nil {
+				if _, err := materials.FindAll(filter, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -439,7 +455,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 	}
 }
 
-// --- observability-era core benchmarks (mpbench -exp bench mirrors these) ---
+// --- observability-era core benchmarks ---------------------------------------
 
 // BenchmarkFind times the full dissemination read path — QueryEngine over
 // an indexed collection — with the metrics layer off and on, so the

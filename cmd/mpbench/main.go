@@ -7,10 +7,13 @@
 //	mpbench -exp fig1 -scale full
 //
 // Experiments: table1, fig1, fig2, fig3, fig4, fig5, mapreduce, taskfarm,
-// fireworks, weekstats, all.
+// fireworks, weekstats, all. Three more are gates scripts/check.sh runs
+// and are not part of all: failover, webload and ingest. Performance
+// claims are measured by the bench/ harness instead.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,16 +23,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1|fig1|fig2|fig3|fig4|fig5|mapreduce|taskfarm|fireworks|weekstats|bench|cluster|cache|failover|planner|ingest|webload|all)")
+	exp := flag.String("exp", "all", "experiment to run (table1|fig1|fig2|fig3|fig4|fig5|mapreduce|taskfarm|fireworks|weekstats|failover|ingest|webload|all)")
 	scaleName := flag.String("scale", "full", "experiment scale (small|full)")
-	benchOut := flag.String("bench-out", "BENCH_core.json", "bench mode: timed-loop results file")
-	obsOut := flag.String("obs-out", "BENCH_obs.json", "bench mode: metrics registry snapshot file")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "cluster mode: standalone-vs-routed results file")
-	cacheOut := flag.String("cache-out", "BENCH_cache.json", "cache mode: result-cache hot/miss results file")
 	failoverOut := flag.String("failover-out", "BENCH_failover.json", "failover mode: SLO-gated chaos results file")
 	webloadOut := flag.String("webload-out", "BENCH_webload.json", "webload mode: open-loop HTTP load results file")
-	plannerOut := flag.String("planner-out", "BENCH_planner.json", "planner mode: indexed-vs-scan range query results file")
-	plannerMin := flag.Float64("planner-min-speedup", 10, "planner mode: minimum 100k-doc indexed range speedup; under it the run fails")
 	ingestOut := flag.String("ingest-out", "BENCH_ingest.json", "ingest mode: batched-vs-singleton durable write results file")
 	ingestMin := flag.Float64("ingest-min-speedup", 5, "ingest mode: minimum batched-over-sequential speedup; under it the run fails")
 	rate := flag.Float64("rate", 150, "open-loop arrival rate in queries/sec (failover, webload)")
@@ -128,32 +125,12 @@ func main() {
 			fmt.Printf("  queries: %d\n  records: %d\n", r.Queries, r.Records)
 			return nil
 		},
-		// bench is not part of -exp all: it writes BENCH_core.json /
-		// BENCH_obs.json artifacts rather than rendering a paper figure.
-		"bench": func() error {
-			return runBench(sc, *benchOut, *obsOut)
-		},
-		// cluster is likewise artifact-writing: standalone vs routed
-		// 1/2/4-shard Find+Aggregate throughput into BENCH_cluster.json.
-		"cluster": func() error {
-			return runClusterBench(sc, *clusterOut)
-		},
-		// cache writes the result-cache hot-read speedup and miss-path
-		// overhead into BENCH_cache.json.
-		"cache": func() error {
-			return runCacheBench(sc, *cacheOut)
-		},
 		// failover is the in-process SLO-gated chaos run: open-loop load
 		// over a 2×2 cluster while a replica is killed and re-admitted
 		// via log catch-up. Writes BENCH_failover.json; fails on a p99
 		// or staleness-bound breach.
 		"failover": func() error {
 			return runFailoverBench(*failoverOut, *rate, *loadDur, *maxStale, *sloP99)
-		},
-		// planner writes the ordered-index-vs-full-scan range query
-		// speedup into BENCH_planner.json, gated on -planner-min-speedup.
-		"planner": func() error {
-			return runPlannerBench(*plannerOut, *plannerMin)
 		},
 		// ingest writes the group-commit ingest throughput comparison
 		// (sequential vs coalesced-concurrent vs batched durable writes)
@@ -186,4 +163,20 @@ func main() {
 		}
 		fmt.Printf("---- %s done in %v ----\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// writeJSON writes v to path as indented JSON (the gate experiments'
+// result artifacts).
+func writeJSON(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

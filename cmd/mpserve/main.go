@@ -58,8 +58,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated shard node base URLs (router role)")
 	shards := flag.Int("shards", 1, "shard group count; peers are assigned round-robin (router role)")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "router health-check period (0 disables the loop)")
-	cacheSize := flag.Int("cache-size", 4096, "result cache capacity in entries (standalone, router)")
-	cacheOff := flag.Bool("cache-off", false, "disable the read-path result cache")
+	cacheSize := flag.Int("cache-size", 4096, "result cache capacity in entries; 0 disables the cache (standalone, router)")
 	orderedIndexes := flag.String("ordered-index", "",
 		"ordered compound indexes to create after load, as coll:path1,path2 specs separated by ';' (standalone, router)")
 	maxBodyBytes := flag.Int64("max-body-bytes", restapi.DefaultMaxBodyBytes,
@@ -78,7 +77,7 @@ func main() {
 	// The result cache serves repeated hot reads without recomputing the
 	// query (nodes don't get one: the router caches on their behalf).
 	var rc *rcache.Cache
-	if !*cacheOff {
+	if *cacheSize > 0 {
 		rc = rcache.New(*cacheSize, reg)
 	}
 

@@ -255,6 +255,48 @@ func TestSelfHosted(t *testing.T) {
 	}
 }
 
+// TestLoadAllSkipsNestedModule builds a module holding a nested module
+// whose code reads the wall clock: LoadAll must not load the nested
+// module's packages, so the full suite reports nothing.
+func TestLoadAllSkipsNestedModule(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":                     "module fixmod\n\ngo 1.22\n",
+		"internal/clean/clean.go":    "package clean\n\nfunc Two() int { return 2 }\n",
+		"internal/nested/go.mod":     "module nested\n\ngo 1.22\n",
+		"internal/nested/nested.go":  "package nested\n\nimport \"time\"\n\nfunc Now() time.Time { return time.Now() }\n",
+		"internal/nested/sub/sub.go": "package sub\n\nimport \"time\"\n\nfunc Now() time.Time { return time.Now() }\n",
+	}
+	for rel, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := lint.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "fixmod/internal/clean" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.Path)
+		}
+		t.Fatalf("loaded %v, want only fixmod/internal/clean", paths)
+	}
+	cfg := lint.DefaultConfig(l.ModulePath)
+	if diags := lint.RunProgram(lint.NewProgram(pkgs, cfg), pkgs, lint.Analyzers()); len(diags) != 0 {
+		t.Fatalf("nested module produced findings: %v", diags)
+	}
+}
+
 // TestDiagnosticString pins the position-accurate rendering contract
 // that scripts/check.sh greps.
 func TestDiagnosticString(t *testing.T) {

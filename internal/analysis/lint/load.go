@@ -68,7 +68,8 @@ func NewLoader(root string) (*Loader, error) {
 // LoadAll discovers and loads every package under the module root.
 // Test files, testdata, vendor, and hidden directories are skipped: the
 // invariants guard production code, and tests are free to use wall
-// clocks and unseeded randomness.
+// clocks and unseeded randomness. A directory with its own go.mod is a
+// nested module, not part of this one, and is skipped too.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
@@ -82,6 +83,11 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		if path != l.ModuleRoot &&
 			(name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != l.ModuleRoot {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if hasGoFiles(path) {
 			dirs = append(dirs, path)

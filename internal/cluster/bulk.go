@@ -12,7 +12,6 @@ import (
 	"matproj/internal/cluster/wire"
 	"matproj/internal/datastore"
 	"matproj/internal/document"
-	"matproj/internal/shard"
 )
 
 // InsertMany routes a batch of documents to their shard groups as one
@@ -20,7 +19,8 @@ import (
 // Returned ids are in input order. On a group failure the successfully
 // routed positions keep their ids and the first group error is returned;
 // like datastore.InsertMany, each sub-batch itself is all-or-nothing on
-// a node.
+// a node, and a batch holding a non-string _id is rejected before any
+// group is written.
 func (r *Router) InsertMany(collection string, docs []document.D) ([]string, error) {
 	if len(docs) == 0 {
 		return nil, nil
@@ -29,23 +29,9 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 	groupDocs := make([][]map[string]any, len(r.groups))
 	groupIdx := make([][]int, len(r.groups))
 	for i, doc := range docs {
-		d := document.NormalizeDoc(doc).Copy()
-		var gi int
-		if r.shardKey == "_id" {
-			id, has := d["_id"].(string)
-			if !has {
-				// Mint at the router so every replica stores an identical
-				// document (same contract as Insert).
-				id = shard.MintID()
-				d["_id"] = id
-			}
-			gi = shard.HashShard(id, len(r.groups))
-		} else {
-			keyVal, ok := d.Get(r.shardKey)
-			if !ok {
-				return nil, fmt.Errorf("cluster: document %d missing shard key %q", i, r.shardKey)
-			}
-			gi = shard.HashShard(keyVal, len(r.groups))
+		d, gi, err := r.place(doc)
+		if err != nil {
+			return nil, err
 		}
 		groupDocs[gi] = append(groupDocs[gi], map[string]any(d))
 		groupIdx[gi] = append(groupIdx[gi], i)
@@ -212,22 +198,10 @@ func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
 	}}
 	switch op.Op {
 	case datastore.BulkInsert:
-		d := document.NormalizeDoc(op.Doc).Copy()
-		var gi int
-		if r.shardKey == "_id" {
-			id, has := d["_id"].(string)
-			if !has {
-				id = shard.MintID()
-				d["_id"] = id
-			}
-			gi = shard.HashShard(id, len(r.groups))
-		} else {
-			keyVal, ok := d.Get(r.shardKey)
-			if !ok {
-				rt.err = fmt.Sprintf("cluster: document missing shard key %q", r.shardKey)
-				return rt
-			}
-			gi = shard.HashShard(keyVal, len(r.groups))
+		d, gi, err := r.place(op.Doc)
+		if err != nil {
+			rt.err = err.Error()
+			return rt
 		}
 		rt.op.Doc = map[string]any(d)
 		rt.targets = []int{gi}

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"matproj/internal/cluster"
 	"matproj/internal/datastore"
 	"matproj/internal/document"
 	"matproj/internal/obs"
 	"matproj/internal/rcache"
-	"matproj/internal/shard"
 )
 
 // idsOnShard mints n distinct _ids that all hash to shard group gi.
@@ -17,7 +17,7 @@ func idsOnShard(t *testing.T, gi, groups, n int) []string {
 	var out []string
 	for i := 0; len(out) < n; i++ {
 		id := fmt.Sprintf("doc-%04d", i)
-		if shard.HashShard(id, groups) == gi {
+		if cluster.HashShard(id, groups) == gi {
 			out = append(out, id)
 		}
 	}

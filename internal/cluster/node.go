@@ -1,12 +1,10 @@
-// Package cluster lifts the in-process shard.Cluster semantics onto a
-// networked topology, the deployment the paper reserves for future
-// scalability (§IV-D2): shard nodes expose datastore primitives over an
-// internal HTTP API, and a query router owns the shard map, scattering
-// reads across groups, replicating writes to group members, and promoting
-// replicas when a primary stops answering. The hash partitioning and
-// merge semantics are shared with internal/shard (see shard/partition.go),
-// so an in-process cluster and a networked one agree bit-for-bit on
-// placement and result order.
+// Package cluster is the sharded, replicated deployment the paper
+// reserves for future scalability (§IV-D2): shard nodes expose datastore
+// primitives over an internal HTTP API, and a query router owns the
+// shard map, hash-partitioning documents on _id, scattering reads across
+// groups and re-merging them with a standalone store's sort/skip/limit
+// semantics (partition.go), replicating writes to group members, and
+// promoting replicas when a primary stops answering.
 package cluster
 
 import (

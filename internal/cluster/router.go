@@ -19,9 +19,9 @@ import (
 	"matproj/internal/datastore"
 	"matproj/internal/document"
 	"matproj/internal/obs"
+	"matproj/internal/query"
 	"matproj/internal/queryengine"
 	"matproj/internal/rcache"
-	"matproj/internal/shard"
 	"matproj/internal/vclock"
 )
 
@@ -45,9 +45,6 @@ type RouterOptions struct {
 	// Groups lists member base URLs per shard group; the first member of
 	// each group starts as primary, the rest are replicas.
 	Groups [][]string
-	// ShardKey is the dotted field hashed for placement; empty means
-	// "_id".
-	ShardKey string
 	// Registry receives router metrics (nil = no-op).
 	Registry *obs.Registry
 	// Cache, when non-nil, serves repeated per-shard reads without a
@@ -119,19 +116,18 @@ type rgroup struct {
 	members []*member
 }
 
-// Router owns the shard map and fronts the node fleet. It satisfies
-// queryengine.Backend, so the full dissemination layer (aliases,
-// sanitization, rate limits, REST API) runs unchanged on top of a
-// networked cluster.
+// Router owns the shard map and fronts the node fleet. Documents are
+// hash-partitioned on _id. It satisfies queryengine.Backend, so the full
+// dissemination layer (aliases, sanitization, rate limits, REST API)
+// runs unchanged on top of a networked cluster.
 type Router struct {
-	shardKey string
-	groups   []*rgroup
-	client   *http.Client
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	clock    vclock.Clock
-	rc       *rcache.Cache
-	gens     shardGens
+	groups []*rgroup
+	client *http.Client
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	clock  vclock.Clock
+	rc     *rcache.Cache
+	gens   shardGens
 
 	// repl drives log catch-up for re-admitted members. It talks to
 	// nodes with the plain HTTP client, not r.call: catch-up is control
@@ -163,19 +159,15 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs at least one shard group")
 	}
 	r := &Router{
-		shardKey: opts.ShardKey,
-		client:   opts.Client,
-		reg:      opts.Registry,
-		tracer:   opts.Tracer,
-		clock:    opts.Clock,
-		rc:       opts.Cache,
-		gens:     shardGens{m: make(map[string][]*atomic.Uint64), n: len(opts.Groups)},
-		retries:  opts.ReadRetries,
-		backoff:  opts.RetryBackoff,
-		stopCh:   make(chan struct{}),
-	}
-	if r.shardKey == "" {
-		r.shardKey = "_id"
+		client:  opts.Client,
+		reg:     opts.Registry,
+		tracer:  opts.Tracer,
+		clock:   opts.Clock,
+		rc:      opts.Cache,
+		gens:    shardGens{m: make(map[string][]*atomic.Uint64), n: len(opts.Groups)},
+		retries: opts.ReadRetries,
+		backoff: opts.RetryBackoff,
+		stopCh:  make(chan struct{}),
 	}
 	if r.clock == nil {
 		r.clock = vclock.Wall
@@ -521,9 +513,25 @@ func (r *Router) scatter(targets []int, fn func(gi int) error) error {
 	return nil
 }
 
-// targets computes the shard groups a filter must touch.
+// targets computes the shard groups a filter must touch: a filter
+// pinning _id to a single value routes to one group, anything else
+// scatters to all.
 func (r *Router) targets(filter document.D) ([]int, error) {
-	return shard.Targets(filter, r.shardKey, len(r.groups))
+	if len(filter) > 0 {
+		flt, err := query.Compile(filter)
+		if err != nil {
+			//lint:ignore wrapcheck a bad filter is the caller's error, relayed verbatim so a routed answer reads exactly like a standalone store's
+			return nil, err
+		}
+		if v, ok := flt.EqualityFields()["_id"]; ok {
+			return []int{hashShard(v, len(r.groups))}, nil
+		}
+	}
+	all := make([]int, len(r.groups))
+	for i := range all {
+		all[i] = i
+	}
+	return all, nil
 }
 
 // ---- Result cache plumbing ------------------------------------------
@@ -617,47 +625,45 @@ func copyRoutedDocs(docs []document.D, cached bool) []document.D {
 
 // ---- Write path -----------------------------------------------------
 
-// Insert routes a document to its shard group and replicates it to every
-// healthy member. The id is minted at the router (when sharding on _id)
-// so all members store an identical document. The write succeeds when at
-// least one member accepts it; members that fail are marked down.
-func (r *Router) Insert(collection string, doc document.D) (string, error) {
+// place prepares a document for a routed insert: it normalizes a private
+// copy, mints a missing _id at the router so every group member stores
+// an identical document, and hashes the _id to its shard group. A
+// non-string _id is rejected with the standalone store's error.
+func (r *Router) place(doc document.D) (document.D, int, error) {
 	d := document.NormalizeDoc(doc).Copy()
-	var gi int
-	if r.shardKey == "_id" {
-		id, has := d["_id"].(string)
-		if !has {
-			id = shard.MintID()
-			d["_id"] = id
-		}
-		gi = shard.HashShard(id, len(r.groups))
-	} else {
-		keyVal, ok := d.Get(r.shardKey)
-		if !ok {
-			return "", fmt.Errorf("cluster: document missing shard key %q", r.shardKey)
-		}
-		gi = shard.HashShard(keyVal, len(r.groups))
+	raw, has := d["_id"]
+	if !has {
+		raw = mintID()
+		d["_id"] = raw
 	}
-	id := ""
-	err := r.writeOnGroup(gi, func(m *member) error {
+	id, ok := raw.(string)
+	if !ok {
+		return nil, 0, fmt.Errorf("datastore: _id must be a string, got %T", raw)
+	}
+	return d, hashShard(id, len(r.groups)), nil
+}
+
+// Insert routes a document to its shard group and replicates it to every
+// healthy member. The write succeeds when at least one member accepts
+// it; members that fail are marked down.
+func (r *Router) Insert(collection string, doc document.D) (string, error) {
+	d, gi, err := r.place(doc)
+	if err != nil {
+		return "", err
+	}
+	err = r.writeOnGroup(gi, func(m *member) error {
 		var resp wire.InsertResponse
 		if err := r.call(m, wire.PathInsert, wire.InsertRequest{Collection: collection, Doc: map[string]any(d)}, &resp); err != nil {
 			return err
 		}
 		m.noteGen(resp.Gen)
-		if id == "" {
-			id = resp.ID
-		}
 		return nil
 	})
 	r.bumpGen(collection, gi)
 	if err != nil {
 		return "", err
 	}
-	if v, ok := d["_id"].(string); ok && id == "" {
-		id = v
-	}
-	return id, nil
+	return d["_id"].(string), nil
 }
 
 // writeOnGroup replicates one write call across a group's healthy
@@ -871,7 +877,7 @@ func (r *Router) updateOne(collection string, filter, update document.D) (datast
 // ---- Read path ------------------------------------------------------
 
 // findAll scatter-gathers a filtered read and applies the global
-// merge-sort/skip/limit, matching internal/shard semantics exactly.
+// merge-sort/skip/limit, so the result equals a standalone store's.
 // Per-group responses are served through the result cache.
 func (r *Router) findAll(collection string, filter document.D, opts *datastore.FindOpts) ([]document.D, error) {
 	return r.findAllCached(collection, filter, opts, true)
@@ -882,7 +888,7 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 	if err != nil {
 		return nil, err
 	}
-	perShard, sortSpec, skip, limit := shard.SplitFindOpts(opts)
+	perShard, sortSpec, skip, limit := splitFindOpts(opts)
 	// Single-target pass-through: one shard holds every possible match,
 	// so it can apply sort/skip/limit itself and the router returns its
 	// answer verbatim — no re-merge, no over-fetch.
@@ -927,27 +933,17 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 	for _, docs := range results {
 		all = append(all, docs...)
 	}
-	return shard.MergeDocs(all, sortSpec, skip, limit)
+	return mergeDocs(all, sortSpec, skip, limit)
 }
 
-// Get fetches one document by id, routing directly when sharding on _id.
+// Get fetches one document by id from the group its _id hashes to.
 func (r *Router) Get(collection, id string) (document.D, error) {
-	if r.shardKey == "_id" {
-		var resp wire.DocResponse
-		err := r.readOnGroup(shard.HashShard(id, len(r.groups)), wire.PathGet, wire.GetRequest{Collection: collection, ID: id}, &resp)
-		if err != nil {
-			return nil, err
-		}
-		return wire.NormalizeMap(resp.Doc), nil
-	}
-	docs, err := r.findAll(collection, document.D{"_id": id}, &datastore.FindOpts{Limit: 1})
+	var resp wire.DocResponse
+	err := r.readOnGroup(hashShard(id, len(r.groups)), wire.PathGet, wire.GetRequest{Collection: collection, ID: id}, &resp)
 	if err != nil {
 		return nil, err
 	}
-	if len(docs) == 0 {
-		return nil, datastore.ErrNotFound
-	}
-	return docs[0], nil
+	return wire.NormalizeMap(resp.Doc), nil
 }
 
 // count scatter-gathers a count.
@@ -1016,7 +1012,7 @@ func (r *Router) distinct(collection, path string, filter document.D) ([]any, er
 	if err != nil {
 		return nil, err
 	}
-	return shard.MergeDistinct(lists), nil
+	return mergeDistinct(lists), nil
 }
 
 // aggregate runs a pipeline over the cluster. When a leading $match pins

@@ -10,10 +10,7 @@ import (
 
 // BenchmarkRangeQuery measures the tentpole workload — a ~1%-selectivity
 // numeric range query with an order-by on the same field — with and
-// without an ordered index, at 10k and 100k documents. The mpbench
-// "planner" experiment packages the same comparison as a gated artifact
-// (BENCH_planner.json); this benchmark keeps it one `go test -bench`
-// away during development.
+// without an ordered index, at 10k and 100k documents.
 func BenchmarkRangeQuery(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		for _, indexed := range []bool{true, false} {

@@ -29,6 +29,21 @@ func postJSON(t *testing.T, srv *httptest.Server, key, path, body string) (int, 
 	return resp.StatusCode, env
 }
 
+// TestInsertEndpointRejectsNonStringID: a non-string _id is a caller
+// error (400) on every backend; the routed suite re-runs this, so a
+// cluster cannot store the document under a minted id instead.
+func TestInsertEndpointRejectsNonStringID(t *testing.T) {
+	srv, key := testServer(t)
+	status, env := postJSON(t, srv, key, "/rest/v1/insert", `{"doc": {"_id": 5, "pretty_formula": "Zz9Q"}}`)
+	if status != http.StatusBadRequest || env.Valid || !strings.Contains(env.Error, "_id must be a string") {
+		t.Fatalf("status=%d env=%+v, want 400 naming the _id type", status, env)
+	}
+	status, env = postJSON(t, srv, key, "/rest/v1/query", `{"criteria": {"pretty_formula": "Zz9Q"}}`)
+	if status != http.StatusOK || env.NResults != 0 {
+		t.Errorf("rejected insert is queryable: status=%d env=%+v", status, env)
+	}
+}
+
 func TestInsertManyEndpoint(t *testing.T) {
 	srv, key := testServer(t)
 	body := `{"docs": [

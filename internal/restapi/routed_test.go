@@ -59,6 +59,7 @@ func TestMaterialsAPISuiteRouted(t *testing.T) {
 	t.Run("RateLimitReturns429", TestRateLimitReturns429)
 	t.Run("ResponseEnvelopeShape", TestResponseEnvelopeShape)
 	t.Run("AggregateEndpoint", TestAggregateEndpoint)
+	t.Run("InsertEndpointRejectsNonStringID", TestInsertEndpointRejectsNonStringID)
 	t.Run("InsertManyEndpoint", TestInsertManyEndpoint)
 	t.Run("BulkWriteEndpoint", TestBulkWriteEndpoint)
 }

@@ -1,22 +1,71 @@
-package shard
+// Package shard_test checks the sharding and replication semantics the
+// paper leaves to MongoDB (§IV-D2) against the router that mpserve runs:
+// hash placement on _id, scatter-gather equivalence with one store,
+// synchronous replication of writes and index definitions, and replica
+// promotion on failover. It holds tests only; the code under test is
+// matproj/internal/cluster, driven through its exported API over live
+// httptest nodes.
+package shard_test
 
 import (
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
+	"matproj/internal/cluster"
 	"matproj/internal/datastore"
 	"matproj/internal/document"
+	"matproj/internal/obs"
+	"matproj/internal/queryengine"
 )
 
 func doc(s string) document.D { return document.MustFromJSON(s) }
 
-func seeded(t *testing.T, opts Options, n int) *Cluster {
+// testCluster is shards groups of 1+replicas members behind one router.
+type testCluster struct {
+	router *cluster.Router
+	reg    *obs.Registry
+	// servers[gi][mi] backs nodes[gi][mi]; member 0 starts as primary.
+	servers [][]*httptest.Server
+	nodes   [][]*cluster.Node
+}
+
+func startCluster(t *testing.T, shards, replicas int) *testCluster {
 	t.Helper()
-	c, err := NewCluster(opts)
+	tc := &testCluster{reg: obs.NewRegistry()}
+	var groups [][]string
+	for gi := 0; gi < shards; gi++ {
+		var urls []string
+		var srvs []*httptest.Server
+		var nodes []*cluster.Node
+		for mi := 0; mi <= replicas; mi++ {
+			n := cluster.NewNode(fmt.Sprintf("node-%d-%d", gi, mi), datastore.MustOpenMemory(), tc.reg)
+			srv := httptest.NewServer(n)
+			t.Cleanup(srv.Close)
+			urls = append(urls, srv.URL)
+			srvs = append(srvs, srv)
+			nodes = append(nodes, n)
+		}
+		groups = append(groups, urls)
+		tc.servers = append(tc.servers, srvs)
+		tc.nodes = append(tc.nodes, nodes)
+	}
+	r, err := cluster.NewRouter(cluster.RouterOptions{Groups: groups, Registry: tc.reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(r.Close)
+	tc.router = r
+	return tc
+}
+
+// seeded boots a cluster and inserts n materials through the router,
+// leaving _id unset so the router mints it.
+func seeded(t *testing.T, shards, replicas, n int) *testCluster {
+	t.Helper()
+	tc := startCluster(t, shards, replicas)
+	routed := tc.router.C("materials")
 	for i := 0; i < n; i++ {
 		d := document.D{
 			"formula":    fmt.Sprintf("F%03d", i),
@@ -24,34 +73,51 @@ func seeded(t *testing.T, opts Options, n int) *Cluster {
 			"nelectrons": int64(10 + i),
 			"chemsys":    fmt.Sprintf("sys%d", i%5),
 		}
-		if _, err := c.Insert("materials", d); err != nil {
+		if _, err := routed.Insert(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return c
+	return tc
 }
 
-func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(Options{Shards: 0}); err == nil {
-		t.Error("zero shards accepted")
+// memberCount counts matches on one member's local store, bypassing
+// the router.
+func (tc *testCluster) memberCount(t *testing.T, gi, mi int, filter document.D) int {
+	t.Helper()
+	n, err := tc.nodes[gi][mi].Store().C("materials").Count(filter)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewCluster(Options{Shards: 2, ReplicasPerShard: -1}); err == nil {
-		t.Error("negative replicas accepted")
+	return n
+}
+
+// groupsHolding lists the groups whose primary stores the given _id.
+func (tc *testCluster) groupsHolding(t *testing.T, id string) []int {
+	t.Helper()
+	var out []int
+	for gi := range tc.nodes {
+		if tc.memberCount(t, gi, 0, document.D{"_id": id}) > 0 {
+			out = append(out, gi)
+		}
 	}
+	return out
 }
 
 func TestInsertDistributesAcrossShards(t *testing.T) {
-	c := seeded(t, Options{Shards: 4}, 200)
-	counts := c.ShardCounts("materials")
+	tc := seeded(t, 4, 0, 200)
 	total := 0
-	for i, n := range counts {
+	var counts []int
+	for gi := range tc.nodes {
+		counts = append(counts, tc.memberCount(t, gi, 0, nil))
+	}
+	for gi, n := range counts {
 		total += n
 		if n == 0 {
-			t.Errorf("shard %d empty (counts %v)", i, counts)
+			t.Errorf("shard %d empty (counts %v)", gi, counts)
 		}
 		// Hash balance: no shard should hold more than half at n=200.
 		if n > 100 {
-			t.Errorf("shard %d badly skewed: %d/200", i, n)
+			t.Errorf("shard %d badly skewed: %d/200", gi, n)
 		}
 	}
 	if total != 200 {
@@ -63,8 +129,12 @@ func TestScatterGatherFindMatchesSingleStore(t *testing.T) {
 	// Same data in one flat store and one sharded cluster must produce
 	// identical query results under a sort.
 	single := datastore.MustOpenMemory().C("materials")
-	c := seeded(t, Options{Shards: 3}, 120)
-	docs, _ := c.FindAll("materials", nil, nil, ReadPrimary)
+	tc := seeded(t, 3, 0, 120)
+	routed := tc.router.C("materials")
+	docs, err := routed.FindAll(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range docs {
 		if _, err := single.Insert(d); err != nil {
 			t.Fatal(err)
@@ -76,7 +146,7 @@ func TestScatterGatherFindMatchesSingleStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.FindAll("materials", filter, opts, ReadPrimary)
+	got, err := routed.FindAll(filter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,144 +161,188 @@ func TestScatterGatherFindMatchesSingleStore(t *testing.T) {
 }
 
 func TestCountAndFindID(t *testing.T) {
-	c := seeded(t, Options{Shards: 3, ReplicasPerShard: 1}, 60)
-	n, err := c.Count("materials", doc(`{"nelectrons": {"$lt": 40}}`), ReadPrimary)
+	tc := seeded(t, 3, 1, 60)
+	routed := tc.router.C("materials")
+	n, err := routed.Count(doc(`{"nelectrons": {"$lt": 40}}`))
 	if err != nil || n != 30 {
 		t.Errorf("count = %d err=%v", n, err)
 	}
-	id, err := c.Insert("materials", doc(`{"formula": "Target", "nelectrons": 999}`))
+	id, err := routed.Insert(doc(`{"formula": "Target", "nelectrons": 999}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.FindID("materials", id, ReadPrimary)
+	got, err := tc.router.Get("materials", id)
 	if err != nil || got["formula"] != "Target" {
 		t.Errorf("got %v err %v", got, err)
 	}
-	// Secondary reads see the replicated document too.
-	got2, err := c.FindID("materials", id, ReadSecondary)
-	if err != nil || got2["formula"] != "Target" {
-		t.Errorf("secondary read: %v err %v", got2, err)
+	// The replica of the owning group holds the document too, and a
+	// bounded-staleness read (which may be served by that replica)
+	// returns it.
+	owners := tc.groupsHolding(t, id)
+	if len(owners) != 1 {
+		t.Fatalf("id %s held by groups %v", id, owners)
 	}
-	if _, err := c.FindID("materials", "ghost", ReadPrimary); !errors.Is(err, datastore.ErrNotFound) {
+	replica, err := tc.nodes[owners[0]][1].Store().C("materials").FindID(id)
+	if err != nil || replica["formula"] != "Target" {
+		t.Errorf("replica copy: %v err %v", replica, err)
+	}
+	stale, err := routed.FindAll(document.D{"_id": id}, &datastore.FindOpts{MaxStaleness: 1})
+	if err != nil || len(stale) != 1 || stale[0]["formula"] != "Target" {
+		t.Errorf("bounded-staleness read: %v err %v", stale, err)
+	}
+	if _, err := tc.router.Get("materials", "ghost"); !errors.Is(err, datastore.ErrNotFound) {
 		t.Errorf("ghost err = %v", err)
 	}
 }
 
+// TestShardKeyRouting checks _id is the shard key: each document lives on
+// exactly one group, an _id-equality read touches only that group, and a
+// document whose key is not a string is rejected rather than placed.
 func TestShardKeyRouting(t *testing.T) {
-	c, err := NewCluster(Options{Shards: 4, ShardKey: "chemsys"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tc := startCluster(t, 4, 0)
+	routed := tc.router.C("materials")
 	for i := 0; i < 40; i++ {
-		if _, err := c.Insert("materials", document.D{
-			"chemsys": fmt.Sprintf("sys%d", i%4), "n": int64(i),
+		if _, err := routed.Insert(document.D{
+			"_id": fmt.Sprintf("mp-%d", i), "chemsys": fmt.Sprintf("sys%d", i%4), "n": int64(i),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A shard-key equality filter touches exactly one shard: verify by
-	// checking the same docs come back and each chemsys lives on a single
-	// shard.
-	docs, err := c.FindAll("materials", doc(`{"chemsys": "sys1"}`), nil, ReadPrimary)
+	docs, err := routed.FindAll(doc(`{"chemsys": "sys1"}`), nil)
 	if err != nil || len(docs) != 10 {
 		t.Fatalf("docs = %d err=%v", len(docs), err)
 	}
-	perShard := 0
-	for i := 0; i < c.Shards(); i++ {
-		// Count docs with chemsys sys1 directly per shard.
-		n := 0
-		for _, d := range docs {
-			if c.shardFor(d.GetString("chemsys")) == i {
-				n++
-			}
-		}
-		if n > 0 {
-			perShard++
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("mp-%d", i)
+		if owners := tc.groupsHolding(t, id); len(owners) != 1 {
+			t.Errorf("%s held by groups %v", id, owners)
 		}
 	}
-	if perShard != 1 {
-		t.Errorf("sys1 spans %d shards", perShard)
+	// A shard-key equality filter touches exactly one shard.
+	fanout := tc.reg.Counter("cluster_scatter_fanout_total").Value()
+	one, err := routed.FindAll(doc(`{"_id": "mp-7"}`), nil)
+	if err != nil || len(one) != 1 || one[0]["n"] != int64(7) {
+		t.Fatalf("pinned read = %v err=%v", one, err)
 	}
-	// Missing shard key rejected.
-	if _, err := c.Insert("materials", doc(`{"n": 1}`)); err == nil {
-		t.Error("keyless insert accepted")
+	if got := tc.reg.Counter("cluster_scatter_fanout_total").Value(); got != fanout+1 {
+		t.Errorf("pinned fanout = %d, want %d", got-fanout, 1)
+	}
+	// A keyless document gets a minted key and one home.
+	id, err := routed.Insert(doc(`{"n": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owners := tc.groupsHolding(t, id); len(owners) != 1 {
+		t.Errorf("minted %s held by groups %v", id, owners)
+	}
+	// A non-string shard key is rejected.
+	if _, err := routed.Insert(doc(`{"_id": 5, "n": 2}`)); err == nil {
+		t.Error("non-string _id accepted")
+	}
+	if n, _ := routed.Count(nil); n != 41 {
+		t.Errorf("count = %d, want 41", n)
 	}
 }
 
 func TestUpdateAndRemoveReplicate(t *testing.T) {
-	c := seeded(t, Options{Shards: 2, ReplicasPerShard: 2}, 30)
-	res, err := c.UpdateMany("materials", doc(`{"nelectrons": {"$lt": 20}}`), doc(`{"$set": {"flag": true}}`))
+	tc := seeded(t, 2, 2, 30)
+	routed := tc.router.C("materials")
+	res, err := routed.UpdateMany(doc(`{"nelectrons": {"$lt": 20}}`), doc(`{"$set": {"flag": true}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Modified != 10 {
 		t.Errorf("modified = %d", res.Modified)
 	}
-	// Both read preferences agree after replicated writes.
-	np, _ := c.Count("materials", doc(`{"flag": true}`), ReadPrimary)
-	ns, _ := c.Count("materials", doc(`{"flag": true}`), ReadSecondary)
-	if np != 10 || ns != 10 {
-		t.Errorf("primary=%d secondary=%d", np, ns)
+	// Every member position agrees after replicated writes: summing
+	// member mi across groups gives the cluster-wide count.
+	sumAt := func(mi int, filter document.D) int {
+		n := 0
+		for gi := range tc.nodes {
+			n += tc.memberCount(t, gi, mi, filter)
+		}
+		return n
 	}
-	removed, err := c.Remove("materials", doc(`{"flag": true}`))
+	for mi := 0; mi < 3; mi++ {
+		if n := sumAt(mi, doc(`{"flag": true}`)); n != 10 {
+			t.Errorf("member %d flagged = %d", mi, n)
+		}
+	}
+	removed, err := tc.router.Remove("materials", doc(`{"flag": true}`))
 	if err != nil || removed != 10 {
 		t.Fatalf("removed = %d err=%v", removed, err)
 	}
-	np, _ = c.Count("materials", nil, ReadPrimary)
-	ns, _ = c.Count("materials", nil, ReadSecondary)
-	if np != 20 || ns != 20 {
-		t.Errorf("after remove: primary=%d secondary=%d", np, ns)
+	if n, _ := routed.Count(nil); n != 20 {
+		t.Errorf("after remove: routed count = %d", n)
+	}
+	for mi := 0; mi < 3; mi++ {
+		if n := sumAt(mi, nil); n != 20 {
+			t.Errorf("after remove: member %d holds %d", mi, n)
+		}
 	}
 }
 
 func TestFailoverPromotesReplica(t *testing.T) {
-	c := seeded(t, Options{Shards: 2, ReplicasPerShard: 1}, 40)
-	before, _ := c.Count("materials", nil, ReadPrimary)
-	if err := c.FailPrimary(0); err != nil {
+	tc := seeded(t, 2, 1, 40)
+	routed := tc.router.C("materials")
+	before, err := routed.Count(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := c.Count("materials", nil, ReadPrimary)
-	if before != after {
-		t.Errorf("data lost in failover: %d -> %d", before, after)
+	tc.servers[0][0].CloseClientConnections()
+	tc.servers[0][0].Close()
+	after, err := routed.Count(nil)
+	if err != nil || before != after {
+		t.Errorf("data lost in failover: %d -> %d (err %v)", before, after, err)
+	}
+	if p := tc.router.Primary(0); p != tc.servers[0][1].URL {
+		t.Errorf("promoted primary = %q, want replica %q", p, tc.servers[0][1].URL)
 	}
 	// Writes continue against the promoted primary.
-	if _, err := c.Insert("materials", doc(`{"formula": "PostFail", "nelectrons": 1}`)); err != nil {
+	if _, err := routed.Insert(doc(`{"formula": "PostFail", "nelectrons": 1}`)); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := c.Count("materials", doc(`{"formula": "PostFail"}`), ReadPrimary)
+	n, _ := routed.Count(doc(`{"formula": "PostFail"}`))
 	if n != 1 {
 		t.Error("post-failover write lost")
 	}
-	// Exhausting replicas fails cleanly.
-	if err := c.FailPrimary(0); err == nil {
-		t.Error("promotion without replicas accepted")
+	// Exhausting the group's members fails cleanly.
+	tc.servers[0][1].CloseClientConnections()
+	tc.servers[0][1].Close()
+	if _, err := routed.Count(nil); !errors.Is(err, queryengine.ErrUnavailable) {
+		t.Errorf("read with a dead group: err = %v, want ErrUnavailable", err)
 	}
-	if err := c.FailPrimary(99); err == nil {
-		t.Error("out-of-range shard accepted")
+	if p := tc.router.Primary(99); p != "" {
+		t.Errorf("out-of-range shard primary = %q", p)
 	}
 }
 
 func TestEnsureIndexEverywhere(t *testing.T) {
-	c := seeded(t, Options{Shards: 2, ReplicasPerShard: 1}, 50)
-	c.EnsureIndex("materials", "nelectrons")
-	// Indexed query returns the same results through both preferences.
+	tc := seeded(t, 2, 1, 50)
+	tc.router.EnsureIndex("materials", "nelectrons")
+	for gi, nodes := range tc.nodes {
+		for mi, n := range nodes {
+			idx := n.Store().C("materials").Stats().Indexes
+			found := false
+			for _, p := range idx {
+				found = found || p == "nelectrons"
+			}
+			if !found {
+				t.Errorf("member %d/%d indexes = %v", gi, mi, idx)
+			}
+		}
+	}
+	// Indexed query returns the same results on every member position.
 	f := doc(`{"nelectrons": {"$gte": 30}}`)
-	np, _ := c.Count("materials", f, ReadPrimary)
-	ns, _ := c.Count("materials", f, ReadSecondary)
-	if np != ns || np == 0 {
+	np, err := tc.router.C("materials").Count(f)
+	if err != nil || np == 0 {
+		t.Fatalf("routed count = %d err=%v", np, err)
+	}
+	ns := 0
+	for gi := range tc.nodes {
+		ns += tc.memberCount(t, gi, 1, f)
+	}
+	if np != ns {
 		t.Errorf("primary=%d secondary=%d", np, ns)
-	}
-}
-
-func TestBadFilterPropagates(t *testing.T) {
-	c := seeded(t, Options{Shards: 2}, 10)
-	if _, err := c.FindAll("materials", doc(`{"$bogus": 1}`), nil, ReadPrimary); err == nil {
-		t.Error("bad filter accepted")
-	}
-	if _, err := c.Count("materials", doc(`{"$bogus": 1}`), ReadPrimary); err == nil {
-		t.Error("bad count filter accepted")
-	}
-	if _, err := c.FindAll("materials", nil, &datastore.FindOpts{Sort: []string{""}}, ReadPrimary); err == nil {
-		t.Error("bad sort accepted")
 	}
 }
