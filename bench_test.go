@@ -212,8 +212,8 @@ func queryFixture(b *testing.B, n int, indexed bool) *datastore.Collection {
 		}
 	}
 	if indexed {
-		c.EnsureIndex("elements")
-		c.EnsureIndex("nelectrons")
+		c.EnsureOrderedIndex("elements")
+		c.EnsureOrderedIndex("nelectrons")
 	}
 	return c
 }
@@ -353,7 +353,7 @@ func BenchmarkFindAndModifyClaim(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	c.EnsureIndex("state")
+	c.EnsureOrderedIndex("state")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.FindAndModify(

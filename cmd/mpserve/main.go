@@ -60,7 +60,7 @@ func main() {
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "router health-check period (0 disables the loop)")
 	cacheSize := flag.Int("cache-size", 4096, "result cache capacity in entries; 0 disables the cache (standalone, router)")
 	orderedIndexes := flag.String("ordered-index", "",
-		"ordered compound indexes to create after load, as coll:path1,path2 specs separated by ';' (standalone, router)")
+		"secondary indexes to create after load, beyond the built-in ones (every index is ordered; one path makes a single-field index), as coll:path1,path2 specs separated by ';' (standalone, router)")
 	maxBodyBytes := flag.Int64("max-body-bytes", restapi.DefaultMaxBodyBytes,
 		"request body size cap in bytes; oversized bodies get 413 (negative disables the cap)")
 	flag.Parse()

@@ -33,7 +33,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	crystals.EnsureIndex("elements")
+	crystals.EnsureOrderedIndex("elements")
 
 	// The paper's §III-B2 example: "select jobs for crystals containing
 	// both lithium and oxygen atoms with less than 200 electrons".

@@ -150,7 +150,7 @@ func DefaultConfig(modulePath string) *Config {
 			TypeName:   "Collection",
 			LockField:  "mu",
 			BumpMethod: "bumpGenLocked",
-			DataFields: []string{"docs", "order", "seq", "seqNext", "indexes", "ordered", "bytes"},
+			DataFields: []string{"docs", "order", "seq", "seqNext", "ordered", "bytes"},
 		}},
 		GenPairs: []GenPair{{
 			TypeName:    "Router",

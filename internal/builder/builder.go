@@ -118,10 +118,10 @@ func (b *MaterialsBuilder) Build() (int, error) {
 	if _, err := mats.Remove(nil); err != nil {
 		return 0, err
 	}
-	mats.EnsureIndex("pretty_formula")
-	mats.EnsureIndex("elements")
-	mats.EnsureIndex("band_gap")
-	mats.EnsureIndex("nelectrons")
+	mats.EnsureOrderedIndex("pretty_formula")
+	mats.EnsureOrderedIndex("elements")
+	mats.EnsureOrderedIndex("band_gap")
+	mats.EnsureOrderedIndex("nelectrons")
 
 	// Deterministic build order regardless of engine.
 	sort.Slice(groups, func(i, j int) bool {

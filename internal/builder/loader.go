@@ -47,7 +47,7 @@ func (l *Loader) Run() (LoadResult, error) {
 	}
 	sort.Strings(matches)
 	tasks := l.Store.C("tasks")
-	tasks.EnsureIndex("loaded_from")
+	tasks.EnsureOrderedIndex("loaded_from")
 	for _, path := range matches {
 		stem := strings.TrimSuffix(filepath.Base(path), ".outcar")
 		n, err := tasks.Count(document.D{"loaded_from": stem})

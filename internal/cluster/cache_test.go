@@ -125,9 +125,9 @@ func TestClusterCacheUpdateOneReadsFresh(t *testing.T) {
 }
 
 // TestEnsureIndexBumpsGeneration pins the index-DDL/cache contract:
-// EnsureIndex must advance the write generation like EnsureOrderedIndex
-// does, or cached plans and ETags keep validating against the old index
-// set until an unrelated write lands.
+// creating an index, single-field or compound, must advance the write
+// generation, or cached plans and ETags keep validating against the old
+// index set until an unrelated write lands.
 func TestEnsureIndexBumpsGeneration(t *testing.T) {
 	rc := rcache.New(256, obs.NewRegistry())
 	tc := startClusterCache(t, 2, 0, rc)
@@ -138,12 +138,12 @@ func TestEnsureIndexBumpsGeneration(t *testing.T) {
 	if g0 == 0 {
 		t.Fatal("generation still zero after seeding")
 	}
-	tc.router.EnsureIndex("materials", "band_gap")
+	tc.router.EnsureOrderedIndex("materials", "band_gap")
 	if g := routed.Generation(); g <= g0 {
-		t.Fatalf("generation after EnsureIndex = %d, want > %d", g, g0)
+		t.Fatalf("generation after single-field index = %d, want > %d", g, g0)
 	}
 	tc.router.EnsureOrderedIndex("materials", "band_gap", "nelements")
 	if g := routed.Generation(); g <= g0+1 {
-		t.Fatalf("generation after EnsureOrderedIndex = %d, want > %d", g, g0+1)
+		t.Fatalf("generation after compound index = %d, want > %d", g, g0+1)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"matproj/internal/document"
 	"matproj/internal/faults"
 	"matproj/internal/obs"
+	"matproj/internal/pipeline"
 	"matproj/internal/rcache"
 )
 
@@ -234,6 +235,38 @@ func TestRoutedWritesReplicate(t *testing.T) {
 	left, _ := routed.Count(nil)
 	if left != 20-removed {
 		t.Errorf("left = %d, removed = %d", left, removed)
+	}
+}
+
+// TestCopyCollectionsRecreatesIndexes loads a 2x2 cluster the way
+// mpserve's router role does and checks every source index — the
+// compound one included — exists on every member and answers routed
+// queries like the source.
+func TestCopyCollectionsRecreatesIndexes(t *testing.T) {
+	tc := startCluster(t, 2, 1)
+	src := datastore.MustOpenMemory()
+	mats := src.C("materials")
+	seedMaterials(t, localColl{mats}, 40)
+	mats.EnsureOrderedIndex("nelements", "band_gap")
+	mats.EnsureOrderedIndex("pretty_formula")
+	copied, err := pipeline.CopyCollections(tc.router, src)
+	if err != nil || copied != 40 {
+		t.Fatalf("copied %d docs, err %v", copied, err)
+	}
+	want := []string{"nelements,band_gap", "pretty_formula"}
+	for gi, nodes := range tc.nodes {
+		for mi, n := range nodes {
+			got := n.Store().C("materials").Stats().Indexes
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("member %d/%d indexes = %v, want %v", gi, mi, got, want)
+			}
+		}
+	}
+	filter := document.D{"nelements": int64(2), "band_gap": document.D{"$gte": 1.0}}
+	wantN, _ := mats.Count(filter)
+	gotN, err := tc.router.C("materials").Count(filter)
+	if err != nil || gotN != wantN || wantN == 0 {
+		t.Fatalf("routed count = %d (err %v), source count = %d", gotN, err, wantN)
 	}
 }
 

@@ -306,11 +306,7 @@ func (n *Node) handleEnsureIndex(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	if len(req.Paths) > 0 {
-		n.store.C(req.Collection).EnsureOrderedIndex(req.Paths...)
-	} else {
-		n.store.C(req.Collection).EnsureIndex(req.Path)
-	}
+	n.store.C(req.Collection).EnsureOrderedIndex(req.Paths...)
 	return writeJSON(w, wire.OKResponse{OK: true})
 }
 

@@ -710,32 +710,17 @@ func (r *Router) writeOnGroup(gi int, do func(m *member) error) error {
 	return nil
 }
 
-// EnsureIndex creates the index on every member of every group (best
-// effort on unhealthy members). The write generation bumps so cached
-// plans and ETags refresh, same as EnsureOrderedIndex.
-func (r *Router) EnsureIndex(collection, path string) {
-	for gi := range r.groups {
-		r.writeOnGroup(gi, func(m *member) error {
-			var resp wire.OKResponse
-			return r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Path: path}, &resp)
-		})
-		r.bumpGen(collection, gi)
-	}
-}
-
-// EnsureOrderedIndex creates an ordered compound index on every member of
-// every group. Like EnsureIndex it fans over all groups — index
-// definitions are cluster-wide metadata, not shard-keyed data — and the
-// per-node journal record makes each member's copy durable. The write
-// generation bumps so cached plans (and $explain responses) refresh.
+// EnsureOrderedIndex creates a secondary index over the given paths on
+// every member of every group (best effort on unhealthy members). It
+// fans over all groups — index definitions are cluster-wide metadata,
+// not shard-keyed data — and the per-node journal record makes each
+// member's copy durable. The write generation bumps so cached plans
+// (and $explain responses) refresh.
 func (r *Router) EnsureOrderedIndex(collection string, paths ...string) {
 	for gi := range r.groups {
 		r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.OKResponse
-			if err := r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Paths: paths}, &resp); err != nil {
-				return err
-			}
-			return nil
+			return r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Paths: paths}, &resp)
 		})
 		r.bumpGen(collection, gi)
 	}

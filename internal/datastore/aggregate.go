@@ -391,7 +391,9 @@ func (a *groupAccumulator) add(d document.D) error {
 func (a *groupAccumulator) result() any {
 	switch a.op {
 	case "$sum":
-		if a.sum == math.Trunc(a.sum) {
+		// Integral sums report as int64 only when they fit: the
+		// conversion of ±Inf or of a magnitude ≥ 2^63 is undefined.
+		if a.sum == math.Trunc(a.sum) && a.sum >= -(1<<63) && a.sum < 1<<63 {
 			return int64(a.sum)
 		}
 		return a.sum

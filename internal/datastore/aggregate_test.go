@@ -187,7 +187,7 @@ func TestAggregateUnwindBehaviour(t *testing.T) {
 
 func TestAggregateHeadMatchUsesIndexPath(t *testing.T) {
 	c := seedAgg(t)
-	c.EnsureIndex("elements")
+	c.EnsureOrderedIndex("elements")
 	out, err := c.Aggregate([]document.D{
 		{"$match": doc(`{"elements": "Fe"}`)},
 		{"$count": "n"},
@@ -251,6 +251,49 @@ func TestAggregateLiteralAndSumFloat(t *testing.T) {
 	}
 	if lit[0]["tag"] != "fixed" {
 		t.Errorf("literal = %v", lit[0])
+	}
+}
+
+// TestAggregateSumOutsideInt64Range: an integral $sum converts to int64
+// only when it fits. 1e300+1e300 and 9.3e18 are integral floats beyond
+// int64, and must come back as float64, not as a wrapped int64.
+func TestAggregateSumOutsideInt64Range(t *testing.T) {
+	for _, tc := range []struct {
+		vals []float64
+		want float64
+	}{
+		{[]float64{1e300, 1e300}, 2e300},
+		{[]float64{9.3e18}, 9.3e18},
+		{[]float64{-9.3e18}, -9.3e18},
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, math.Inf(1)},
+	} {
+		c := MustOpenMemory().C("sums")
+		for _, v := range tc.vals {
+			if _, err := c.Insert(document.D{"v": v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := c.Aggregate([]document.D{{"$group": doc(`{"_id": null, "s": {"$sum": "$v"}}`)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := out[0]["s"].(float64); !ok || got != tc.want {
+			t.Errorf("$sum over %v = %v (%T), want float64 %v", tc.vals, out[0]["s"], out[0]["s"], tc.want)
+		}
+	}
+	// Sums inside int64 range keep their integer type.
+	c := MustOpenMemory().C("ints")
+	for _, v := range []int64{1 << 62, 1 << 61} {
+		if _, err := c.Insert(document.D{"v": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := c.Aggregate([]document.D{{"$group": doc(`{"_id": null, "s": {"$sum": "$v"}}`)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := out[0]["s"].(int64); !ok || got != 1<<62+1<<61 {
+		t.Errorf("$sum of int64s = %v (%T), want int64 %d", out[0]["s"], out[0]["s"], int64(1<<62+1<<61))
 	}
 }
 

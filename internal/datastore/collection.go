@@ -59,8 +59,7 @@ type Collection struct {
 	order   []string       // insertion order of ids, for stable scans
 	seq     map[string]int // id -> insertion sequence, for candidate sorting
 	seqNext int
-	indexes map[string]*index
-	ordered map[string]*orderedIndex // canonical name -> sorted compound index
+	ordered map[string]*orderedIndex // canonical name -> secondary index
 	bytes   int
 
 	// gen is the collection's write generation: it takes a fresh value
@@ -77,7 +76,6 @@ func newCollection(name string, store *Store) *Collection {
 		store:   store,
 		docs:    make(map[string]document.D),
 		seq:     make(map[string]int),
-		indexes: make(map[string]*index),
 		ordered: make(map[string]*orderedIndex),
 	}
 	c.gen.Store(genCounter.Add(1))
@@ -102,26 +100,22 @@ func (c *Collection) Name() string { return c.name }
 type CollStats struct {
 	Documents int
 	Bytes     int
-	Indexes   []string
-	// Ordered lists the canonical names of sorted compound indexes.
-	Ordered []string
+	// Indexes lists the secondary indexes by canonical name, sorted. A
+	// name is the index's component paths joined with ",", so
+	// strings.Split(name, ",") recovers the paths.
+	Indexes []string
 }
 
 // Stats reports size and index information.
 func (c *Collection) Stats() CollStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	idx := make([]string, 0, len(c.indexes))
-	for p := range c.indexes {
-		idx = append(idx, p)
+	idx := make([]string, 0, len(c.ordered))
+	for n := range c.ordered {
+		idx = append(idx, n)
 	}
 	sort.Strings(idx)
-	ord := make([]string, 0, len(c.ordered))
-	for n := range c.ordered {
-		ord = append(ord, n)
-	}
-	sort.Strings(ord)
-	return CollStats{Documents: len(c.docs), Bytes: c.bytes, Indexes: idx, Ordered: ord}
+	return CollStats{Documents: len(c.docs), Bytes: c.bytes, Indexes: idx}
 }
 
 // Insert stores a document. If it has no "_id", one is assigned; the
@@ -210,9 +204,6 @@ func (c *Collection) insertLocked(id string, d document.D) {
 	c.seq[id] = c.seqNext
 	c.seqNext++
 	c.bytes += document.ApproxSize(d)
-	for _, idx := range c.indexes {
-		idx.add(id, d)
-	}
 	for _, ox := range c.ordered {
 		ox.add(id, d)
 	}
@@ -233,9 +224,6 @@ func (c *Collection) removeLocked(id string) {
 			break
 		}
 	}
-	for _, idx := range c.indexes {
-		idx.remove(id, d)
-	}
 	for _, ox := range c.ordered {
 		ox.remove(id, d)
 	}
@@ -245,10 +233,6 @@ func (c *Collection) removeLocked(id string) {
 // replaceLocked swaps the stored document for id, maintaining indexes.
 func (c *Collection) replaceLocked(id string, newDoc document.D) {
 	old := c.docs[id]
-	for _, idx := range c.indexes {
-		idx.remove(id, old)
-		idx.add(id, newDoc)
-	}
 	for _, ox := range c.ordered {
 		ox.remove(id, old)
 		ox.add(id, newDoc)
@@ -270,12 +254,12 @@ type FindOpts struct {
 	// on the primary. Local (non-routed) reads ignore it — a single
 	// store is never stale relative to itself.
 	MaxStaleness int
-	// Hint forces the query planner to use the named index (a hash
-	// index's path or an ordered index's comma-joined component paths)
-	// when that index is usable for the filter at all. Routed reads
+	// Hint forces the query planner to use the named index (its
+	// comma-joined component paths, as in Stats().Indexes); a hinted
+	// index no constraint can narrow is walked in full. Routed reads
 	// forward the hint to every shard, so the whole scatter runs the
-	// same plan regardless of per-shard statistics. Unknown or unusable
-	// hints are ignored.
+	// same plan regardless of per-shard statistics. Unknown hints are
+	// ignored.
 	Hint string
 }
 
@@ -426,9 +410,9 @@ func (c *Collection) Count(filter document.D) (int, error) {
 
 // Distinct returns the distinct values at a dotted path among matching
 // documents. Array values contribute their elements. The result is sorted
-// by document.Compare order. Deduplication keys a map on canonicalKey, so
-// int64/float64 values that are numerically equal collapse (3 and 3.0 are
-// one value), matching index-bucket semantics.
+// by document.Compare order. Deduplication keys a map on the index key
+// encoding, so int64/float64 values that are numerically equal collapse
+// (3 and 3.0 are one value), matching index-bucket semantics.
 func (c *Collection) Distinct(path string, filter document.D) ([]any, error) {
 	start := time.Now()
 	flt, err := query.Compile(filter)
@@ -439,7 +423,7 @@ func (c *Collection) Distinct(path string, filter document.D) ([]any, error) {
 	seen := make(map[string]struct{}, 16)
 	vals := make([]any, 0, 16)
 	add := func(v any) {
-		k := canonicalKey(v)
+		k := encodeKeyString(v)
 		if _, dup := seen[k]; dup {
 			return
 		}

@@ -217,7 +217,7 @@ func TestUpdateCannotChangeID(t *testing.T) {
 
 func TestUpdateMaintainsIndexes(t *testing.T) {
 	c := seedTasks(t)
-	c.EnsureIndex("state")
+	c.EnsureOrderedIndex("state")
 	got, _ := c.FindAll(doc(`{"state": "ready"}`), nil)
 	if len(got) != 2 {
 		t.Fatalf("pre: %d", len(got))
@@ -371,7 +371,7 @@ func TestCollectionStatsAndStoreStats(t *testing.T) {
 	s := MustOpenMemory()
 	c := s.C("a")
 	c.Insert(doc(`{"v": "abcdef"}`))
-	c.EnsureIndex("v")
+	c.EnsureOrderedIndex("v")
 	st := c.Stats()
 	if st.Documents != 1 || st.Bytes <= 0 || len(st.Indexes) != 1 {
 		t.Errorf("stats = %+v", st)

@@ -18,7 +18,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	s := MustOpenMemory()
 	c := s.C("engines")
 	const writers, readers, updaters, docsPerWriter = 4, 4, 2, 100
-	c.EnsureIndex("state")
+	c.EnsureOrderedIndex("state")
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -79,7 +79,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 func TestConcurrentClaimsWithChurn(t *testing.T) {
 	s := MustOpenMemory()
 	c := s.C("engines")
-	c.EnsureIndex("state")
+	c.EnsureOrderedIndex("state")
 	const jobs = 300
 	for i := 0; i < jobs; i++ {
 		c.Insert(document.D{"_id": fmt.Sprintf("j%04d", i), "state": "ready"})
@@ -203,8 +203,8 @@ func TestConcurrentIndexCreationAndQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.EnsureIndex("n")
-			c.EnsureIndex("tag")
+			c.EnsureOrderedIndex("n")
+			c.EnsureOrderedIndex("tag")
 			for i := 0; i < 50; i++ {
 				got, err := c.FindAll(document.D{"n": int64(i)}, nil)
 				if err != nil {

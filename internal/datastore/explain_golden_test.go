@@ -16,8 +16,8 @@ import (
 
 // explainGoldenCollection builds the fixture corpus: 10 documents over
 // the paper's query shapes (chemical system, electron count, band gap,
-// element list, task id) with one single-field ordered index, one
-// compound, one multikey, and one legacy hash index.
+// element list, task id) with two single-field indexes, one compound,
+// and one multikey.
 func explainGoldenCollection(t *testing.T) *Collection {
 	t.Helper()
 	c := MustOpenMemory().C("materials")
@@ -37,7 +37,7 @@ func explainGoldenCollection(t *testing.T) *Collection {
 	c.EnsureOrderedIndex("nelectrons")
 	c.EnsureOrderedIndex("chemsys", "nelectrons")
 	c.EnsureOrderedIndex("elements")
-	c.EnsureIndex("task_id")
+	c.EnsureOrderedIndex("task_id")
 	return c
 }
 
@@ -60,9 +60,9 @@ func TestExplainGolden(t *testing.T) {
 			want:   `{"collection":"materials","considered":[],"estimated_candidates":10,"hinted":false,"mode":"scan","ndocs":10,"reverse":false,"sort_satisfied":false}`,
 		},
 		{
-			name:   "hash-equality",
+			name:   "single-field-equality",
 			filter: document.D{"task_id": "mp-4"},
-			want:   `{"bounds":"task_id = mp-4","collection":"materials","considered":[{"estimate":1,"index":"task_id","kind":"hash"}],"estimated_candidates":1,"hinted":false,"index":"task_id","index_kind":"hash","mode":"index","ndocs":10,"residual_paths":[],"reverse":false,"sort_satisfied":false}`,
+			want:   `{"bounds":"task_id = mp-4","collection":"materials","considered":[{"estimate":1,"index":"task_id","kind":"ordered"}],"estimated_candidates":1,"hinted":false,"index":"task_id","index_kind":"ordered","mode":"index","ndocs":10,"residual_paths":[],"reverse":false,"sort_satisfied":false}`,
 		},
 		{
 			name:   "ordered-range",

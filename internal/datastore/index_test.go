@@ -34,7 +34,7 @@ func TestIndexEqualityMatchesFullScan(t *testing.T) {
 	c := seedElements(t, 500)
 	filter := doc(`{"nelectrons": 120}`)
 	scan, _ := c.FindAll(filter, nil)
-	c.EnsureIndex("nelectrons")
+	c.EnsureOrderedIndex("nelectrons")
 	indexed, _ := c.FindAll(filter, nil)
 	if len(scan) == 0 || len(scan) != len(indexed) {
 		t.Fatalf("scan=%d indexed=%d", len(scan), len(indexed))
@@ -50,7 +50,7 @@ func TestMultikeyIndexOnElements(t *testing.T) {
 	c := seedElements(t, 500)
 	filter := doc(`{"elements": {"$all": ["Li", "O"]}, "nelectrons": {"$lte": 200}}`)
 	scan, _ := c.FindAll(filter, nil)
-	c.EnsureIndex("elements")
+	c.EnsureOrderedIndex("elements")
 	indexed, _ := c.FindAll(filter, nil)
 	if len(scan) != len(indexed) {
 		t.Fatalf("scan=%d indexed=%d", len(scan), len(indexed))
@@ -72,18 +72,18 @@ func TestRangeIndexMatchesFullScan(t *testing.T) {
 	} {
 		filter := doc(f)
 		scan, _ := c.FindAll(filter, nil)
-		c.EnsureIndex("nelectrons")
+		c.EnsureOrderedIndex("nelectrons")
 		indexed, _ := c.FindAll(filter, nil)
 		if len(scan) != len(indexed) {
 			t.Errorf("%s: scan=%d indexed=%d", f, len(scan), len(indexed))
 		}
-		c.DropIndex("nelectrons")
+		c.DropOrderedIndex("nelectrons")
 	}
 }
 
 func TestIndexMaintainedAcrossRemove(t *testing.T) {
 	c := seedElements(t, 100)
-	c.EnsureIndex("elements")
+	c.EnsureOrderedIndex("elements")
 	c.Remove(doc(`{"elements": "Na"}`))
 	got, _ := c.FindAll(doc(`{"elements": "Na"}`), nil)
 	if len(got) != 0 {
@@ -93,10 +93,10 @@ func TestIndexMaintainedAcrossRemove(t *testing.T) {
 
 func TestEnsureIndexIdempotentAndIgnoresID(t *testing.T) {
 	c := seedElements(t, 10)
-	c.EnsureIndex("elements")
-	c.EnsureIndex("elements")
-	c.EnsureIndex("_id")
-	c.EnsureIndex("")
+	c.EnsureOrderedIndex("elements")
+	c.EnsureOrderedIndex("elements")
+	c.EnsureOrderedIndex("_id")
+	c.EnsureOrderedIndex("")
 	st := c.Stats()
 	if len(st.Indexes) != 1 {
 		t.Errorf("indexes = %v", st.Indexes)
@@ -123,7 +123,7 @@ func TestIDFastPath(t *testing.T) {
 func TestIndexCrossNumericEquality(t *testing.T) {
 	c := MustOpenMemory().C("x")
 	c.Insert(document.D{"n": int64(3)})
-	c.EnsureIndex("n")
+	c.EnsureOrderedIndex("n")
 	got, _ := c.FindAll(document.D{"n": 3.0}, nil)
 	if len(got) != 1 {
 		t.Errorf("3.0 lookup found %d", len(got))
@@ -134,7 +134,7 @@ func TestIndexOnMissingFieldStillFindsOthers(t *testing.T) {
 	c := MustOpenMemory().C("x")
 	c.Insert(doc(`{"a": 1}`))
 	c.Insert(doc(`{"b": 2}`))
-	c.EnsureIndex("a")
+	c.EnsureOrderedIndex("a")
 	// Filter on an indexed field: index gives candidates; doc without the
 	// field must not match.
 	got, _ := c.FindAll(doc(`{"a": 1}`), nil)
@@ -157,7 +157,7 @@ func TestQuickIndexedEqualsScan(t *testing.T) {
 			ci.Insert(d)
 			cs.Insert(d)
 		}
-		ci.EnsureIndex("v")
+		ci.EnsureOrderedIndex("v")
 		filter := document.D{"v": int64(probe % 8)}
 		a, _ := ci.FindAll(filter, nil)
 		b, _ := cs.FindAll(filter, nil)
@@ -188,7 +188,7 @@ func TestQuickRangeIndexedEqualsScan(t *testing.T) {
 			ci.Insert(d)
 			cs.Insert(d)
 		}
-		ci.EnsureIndex("v")
+		ci.EnsureOrderedIndex("v")
 		filter := document.D{"v": document.D{"$gte": int64(lo), "$lte": int64(hi)}}
 		a, _ := ci.FindAll(filter, nil)
 		b, _ := cs.FindAll(filter, nil)
@@ -204,8 +204,8 @@ func TestQuickRangeIndexedEqualsScan(t *testing.T) {
 // one bucket and indexed equality lookups returned the wrong documents.
 func TestIndexHugeInt64KeysStayDistinct(t *testing.T) {
 	c := MustOpenMemory().C("big")
-	// Both values round to the same float64, so the old canonicalKey gave
-	// them identical bucket keys.
+	// Both values round to the same float64, so a key rendered through
+	// float64 would give them identical buckets.
 	a := int64(1<<53) + 1 // 9007199254740993, rounds to 9007199254740992
 	b := int64(1 << 53)   // 9007199254740992 exactly
 	if float64(a) != float64(b) {
@@ -213,7 +213,7 @@ func TestIndexHugeInt64KeysStayDistinct(t *testing.T) {
 	}
 	c.Insert(document.D{"_id": "a", "v": a})
 	c.Insert(document.D{"_id": "b", "v": b})
-	c.EnsureIndex("v")
+	c.EnsureOrderedIndex("v")
 
 	for _, tc := range []struct {
 		val  int64
@@ -247,7 +247,7 @@ func TestIndexHugeInt64KeysStayDistinct(t *testing.T) {
 func TestIndexNumericCollapseOnlyWhereExact(t *testing.T) {
 	c := MustOpenMemory().C("mix")
 	c.Insert(document.D{"_id": "int", "v": int64(3)})
-	c.EnsureIndex("v")
+	c.EnsureOrderedIndex("v")
 
 	// float64 3.0 must find the int64 3 document through the index.
 	docs, err := c.FindAll(document.D{"v": float64(3)}, nil)

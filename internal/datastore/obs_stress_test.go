@@ -28,7 +28,7 @@ func TestInstrumentedStoreConcurrentStress(t *testing.T) {
 	store.Observe(reg, tr)
 
 	c := store.C("stress")
-	c.EnsureIndex("shard")
+	c.EnsureOrderedIndex("shard")
 
 	var writerWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})

@@ -8,14 +8,16 @@ import (
 	"matproj/internal/document"
 )
 
-// orderedIndex is a sorted compound secondary index. Each document
-// contributes one key per combination of its component values (arrays
-// are multikey: every element plus the whole array, so both element
-// equality and whole-array comparisons hit the index; a missing path
-// indexes as null, matching both {path: null} filters and sort order,
-// where missing sorts with null). Keys are order-preserving encodings
-// (keyenc.go), so the sorted key list is the index order and a range
-// scan is a contiguous slice of it.
+// orderedIndex is a sorted compound secondary index — the only kind of
+// secondary index a collection has; a one-path index is a one-component
+// ordered index. Each document contributes one key per combination of
+// its component values (arrays are multikey: every element plus the
+// whole array, so both element equality and whole-array comparisons hit
+// the index; a missing path indexes as null, matching both {path: null}
+// filters and sort order, where missing sorts with null). Keys are
+// order-preserving encodings (keyenc.go), so the sorted key list is the
+// index order and a range scan is a contiguous slice of it, while an
+// equality on every component is a single map probe.
 //
 // The sorted key list is rebuilt lazily: mutations (under the
 // collection's exclusive lock) just mark it dirty; the first range scan
@@ -159,6 +161,16 @@ func (ox *orderedIndex) remove(id string, d document.D) {
 	}
 }
 
+// probe returns the ids stored under one complete key (nil when none).
+// It reads the bucket in place — no sorted key list, no copy — so the
+// caller must not mutate the result.
+func (ox *orderedIndex) probe(key string) map[string]struct{} {
+	if b, ok := ox.entries[key]; ok {
+		return b.ids
+	}
+	return nil
+}
+
 // sortedKeys returns the encoded keys in byte (= document.Compare)
 // order, rebuilding lazily after mutations. Callers hold the
 // collection's read lock; concurrent readers serialize on sortMu.
@@ -199,16 +211,20 @@ func (ox *orderedIndex) keyRange(keys []string, lo, hi, hiPrefix string) (int, i
 	return start, end
 }
 
-// EnsureOrderedIndex creates (and backfills) a sorted compound index
-// over the given dotted paths. Creating an index that already exists is
-// a no-op. The definition is journaled, so durable stores rebuild it on
-// replay and replicas receive it through the log.
+// EnsureOrderedIndex creates (and backfills) a sorted secondary index
+// over the given dotted paths; one path makes a single-field index.
+// Creating an index that already exists is a no-op, as are an empty
+// path list, an empty path, a path containing a comma (index names join
+// paths with commas, so Stats().Indexes must split back unambiguously),
+// and a lone "_id" (the primary key already serves it). The definition
+// is journaled, so durable stores rebuild it on replay and replicas
+// receive it through the log.
 func (c *Collection) EnsureOrderedIndex(paths ...string) {
-	if len(paths) == 0 {
+	if len(paths) == 0 || (len(paths) == 1 && paths[0] == "_id") {
 		return
 	}
 	for _, p := range paths {
-		if p == "" {
+		if p == "" || strings.Contains(p, ",") {
 			return
 		}
 	}
@@ -225,9 +241,6 @@ func (c *Collection) EnsureOrderedIndex(paths ...string) {
 // EnsureOrderedIndex and journal/replication replay). Returns whether a
 // new index was created.
 func (c *Collection) ensureOrderedLocked(paths []string) bool {
-	if c.ordered == nil {
-		c.ordered = make(map[string]*orderedIndex)
-	}
 	name := orderedIndexName(paths)
 	if _, ok := c.ordered[name]; ok {
 		return false
@@ -243,8 +256,8 @@ func (c *Collection) ensureOrderedLocked(paths []string) bool {
 	return true
 }
 
-// DropOrderedIndex removes a sorted index by its canonical name
-// (comma-joined paths).
+// DropOrderedIndex removes a secondary index by its canonical name
+// (comma-joined paths, as listed in Stats().Indexes).
 func (c *Collection) DropOrderedIndex(name string) {
 	var pc pendingCommit
 	c.mu.Lock()
@@ -257,19 +270,6 @@ func (c *Collection) DropOrderedIndex(name string) {
 	_ = pc.commit()
 }
 
-// OrderedIndexes returns the canonical names of the collection's sorted
-// indexes, sorted.
-func (c *Collection) OrderedIndexes() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.ordered))
-	for n := range c.ordered {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // orderedIndexDefDoc renders an ordered-index definition as a journal
 // payload document.
 func orderedIndexDefDoc(paths []string) document.D {
@@ -278,9 +278,4 @@ func orderedIndexDefDoc(paths []string) document.D {
 		ps[i] = p
 	}
 	return document.D{"ordered": true, "paths": ps}
-}
-
-// hashIndexDefDoc renders a hash-index definition as a journal payload.
-func hashIndexDefDoc(path string) document.D {
-	return document.D{"path": path}
 }

@@ -100,7 +100,7 @@ func (g *oracleGen) filter() document.D {
 	perm := g.rng.Perm(len(oraclePaths))
 	for _, pi := range perm[:n] {
 		p := oraclePaths[pi]
-		switch g.rng.Intn(5) {
+		switch g.rng.Intn(6) {
 		case 0: // equality
 			f[p] = g.value(1)
 		case 1: // one- or two-sided range
@@ -118,12 +118,18 @@ func (g *oracleGen) filter() document.D {
 				vals[i] = g.value(0)
 			}
 			f[p] = document.D{"$in": vals}
-		case 3: // containment on the array-bearing path
-			if p == "tags" {
-				f[p] = document.D{"$all": []any{string(rune('p' + g.rng.Intn(4)))}}
-			} else {
-				f[p] = g.value(0)
+		case 3: // 1- or 2-member containment; tags draws its own alphabet
+			members := make([]any, 1+g.rng.Intn(2))
+			for i := range members {
+				if p == "tags" {
+					members[i] = string(rune('p' + g.rng.Intn(4)))
+				} else {
+					members[i] = g.value(0)
+				}
 			}
+			f[p] = document.D{"$all": members}
+		case 4: // explicit null: also matches documents missing the path
+			f[p] = nil
 		default: // equality against a composite value
 			f[p] = g.value(2)
 		}
@@ -166,6 +172,7 @@ func (g *oracleGen) opts(hintable []string) *FindOpts {
 
 // oracleIndexSets is the menu of index layouts a corpus draws from
 // (including the empty layout: subject == truth except for planning).
+// The tags-leading compounds put a multikey component first.
 var oracleIndexSets = [][][]string{
 	{},
 	{{"a"}},
@@ -175,6 +182,8 @@ var oracleIndexSets = [][][]string{
 	{{"tags"}},
 	{{"a", "b"}, {"b"}, {"s"}},
 	{{"c", "s"}},
+	{{"tags", "a"}},
+	{{"tags", "s"}, {"a", "tags"}},
 }
 
 func TestOracleScanVsIndex(t *testing.T) {
@@ -196,18 +205,18 @@ func TestOracleScanVsIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Random index layout, plus hash indexes half the time.
+		// Random index layout, plus a single-field index half the time.
 		layout := oracleIndexSets[g.rng.Intn(len(oracleIndexSets))]
 		for _, paths := range layout {
 			subject.EnsureOrderedIndex(paths...)
 		}
 		if g.rng.Intn(2) == 0 {
-			subject.EnsureIndex(oraclePaths[g.rng.Intn(4)])
+			subject.EnsureOrderedIndex(oraclePaths[g.rng.Intn(4)])
 		}
 		if g.rng.Intn(3) == 0 {
-			subject.EnsureIndex("tags")
+			subject.EnsureOrderedIndex("tags")
 		}
-		hintable := subject.OrderedIndexes()
+		hintable := subject.Stats().Indexes
 
 		for qi := 0; qi < queriesPer; qi++ {
 			filter := g.filter()
@@ -271,7 +280,7 @@ func TestOracleSurvivesMutations(t *testing.T) {
 		}
 		subject.EnsureOrderedIndex("a", "b")
 		subject.EnsureOrderedIndex("tags")
-		subject.EnsureIndex("s")
+		subject.EnsureOrderedIndex("s")
 
 		// Random churn applied identically to both sides.
 		for i := 0; i < 30; i++ {

@@ -49,12 +49,12 @@ const (
 	journalUpdate journalOp = "u"
 	journalRemove journalOp = "r"
 	journalDrop   journalOp = "d"
-	// journalIndex / journalIndexDrop record index definitions (hash or
-	// ordered) so crash recovery and replica catch-up rebuild them. The
-	// record's ID is the index name; Doc carries the definition payload
-	// ({"path": p} for hash, {"ordered": true, "paths": [...]} for
-	// ordered). The indexed data itself is never journaled — replay
-	// re-creates the definition and backfills from the documents.
+	// journalIndex / journalIndexDrop record index definitions so crash
+	// recovery and replica catch-up rebuild them. The record's ID is the
+	// index name; Doc carries the definition payload ({"ordered": true,
+	// "paths": [...]}; legacy single-path records carry {"path": p}).
+	// The indexed data itself is never journaled — replay re-creates
+	// the definition and backfills from the documents.
 	journalIndex     journalOp = "x"
 	journalIndexDrop journalOp = "X"
 	// journalMeta carries replication bookkeeping, not data: the first
@@ -74,45 +74,30 @@ type journalRecord struct {
 	Gen uint64 `json:"g,omitempty"`
 }
 
-// indexDef is the Doc payload of journalIndex / journalIndexDrop records.
+// indexDef is the Doc payload of a journalIndex record. Path is the
+// legacy single-path record ({"path": p}) written before every index
+// was ordered; replay maps it to the one-component index named p.
 type indexDef struct {
-	Ordered bool     `json:"ordered,omitempty"`
-	Path    string   `json:"path,omitempty"`
-	Paths   []string `json:"paths,omitempty"`
-	Name    string   `json:"name,omitempty"`
+	Path  string   `json:"path,omitempty"`
+	Paths []string `json:"paths,omitempty"`
 }
 
 // indexDefRecordsLocked renders the collection's index definitions as
-// journal records (hash indexes first, then ordered, both sorted for
-// deterministic snapshots). Caller holds c.mu.
+// journal records, sorted by name for deterministic snapshots. Caller
+// holds c.mu.
 func (c *Collection) indexDefRecordsLocked() []journalRecord {
-	var out []journalRecord
-	mk := func(name string, def document.D) (journalRecord, error) {
-		b, err := def.ToJSON()
-		if err != nil {
-			return journalRecord{}, err
-		}
-		return journalRecord{Op: journalIndex, Collection: c.name, ID: name, Doc: b}, nil
-	}
-	hashPaths := make([]string, 0, len(c.indexes))
-	for p := range c.indexes {
-		hashPaths = append(hashPaths, p)
-	}
-	sort.Strings(hashPaths)
-	for _, p := range hashPaths {
-		if rec, err := mk(p, hashIndexDefDoc(p)); err == nil {
-			out = append(out, rec)
-		}
-	}
-	ordNames := make([]string, 0, len(c.ordered))
+	names := make([]string, 0, len(c.ordered))
 	for n := range c.ordered {
-		ordNames = append(ordNames, n)
+		names = append(names, n)
 	}
-	sort.Strings(ordNames)
-	for _, n := range ordNames {
-		if rec, err := mk(n, orderedIndexDefDoc(c.ordered[n].paths)); err == nil {
-			out = append(out, rec)
+	sort.Strings(names)
+	out := make([]journalRecord, 0, len(names))
+	for _, n := range names {
+		b, err := orderedIndexDefDoc(c.ordered[n].paths).ToJSON()
+		if err != nil {
+			continue
 		}
+		out = append(out, journalRecord{Op: journalIndex, Collection: c.name, ID: n, Doc: b})
 	}
 	return out
 }
@@ -628,25 +613,15 @@ func applyRecord(s *Store, rec journalRecord) error {
 		c.mu.Lock()
 		if rec.Op == journalIndex {
 			switch {
-			case def.Ordered && len(def.Paths) > 0:
+			case len(def.Paths) > 0:
 				c.ensureOrderedLocked(def.Paths)
-			case !def.Ordered && def.Path != "":
-				c.ensureHashLocked(def.Path)
+			case def.Path != "":
+				c.ensureOrderedLocked([]string{def.Path})
 			}
 		} else {
-			if def.Ordered {
-				name := def.Name
-				if name == "" {
-					name = rec.ID
-				}
-				delete(c.ordered, name)
-			} else {
-				p := def.Path
-				if p == "" {
-					p = rec.ID
-				}
-				delete(c.indexes, p)
-			}
+			// A drop's record ID is the index name (for a legacy
+			// single-path drop, the path: the one-component index's name).
+			delete(c.ordered, rec.ID)
 			// Every other mutation path bumps inside the lock (the
 			// *Locked helpers do it themselves); a replayed drop must
 			// too, or cached plans keep validating against the index

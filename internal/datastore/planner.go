@@ -4,27 +4,29 @@ package datastore
 // filter's conjunct-sound constraints (equality, $in, ranges, $all
 // containment — only constraints hoisted from the top level or $and
 // branches, so using them can over-select but never under-select),
-// estimates a candidate cardinality for every usable index, and picks
-// the cheapest access path, falling back to a full scan. Every
+// estimates a candidate cardinality for every usable ordered index,
+// and picks the cheapest access path, falling back to a full scan. Every
 // execution path re-verifies candidates against the complete filter,
 // so the planner only has to be a superset oracle; correctness is
 // enforced by the property-based scan-vs-index oracle test.
 //
 // Cost model (deterministic, pinned by the golden Explain tests):
 //
-//	scan               len(docs)
-//	hash equality      len(bucket)           (exact)
-//	hash contains      len(bucket)           (exact)
-//	ordered full-tuple len(bucket)           (exact)
-//	ordered prefix     keysInRange × ceil(nids/entries)
-//	ordered range      keysInRange × ceil(nids/entries)
-//	ordered $in        Σ per-member region estimates
+//	scan        len(docs)
+//	full key    len(bucket)                        (exact)
+//	prefix      keysInRange × ceil(nids/entries)
+//	range       keysInRange × ceil(nids/entries)
+//	$in         Σ per-member region estimates
+//	$all        min over members of the member's region estimate
 //
-// keysInRange costs two binary searches — the planner never walks a
-// candidate range to price it. The cheapest estimate wins; ties prefer
-// a sort-satisfying plan, then lexicographically smaller index names,
-// then index over scan only when the estimate is strictly smaller (or
-// the index satisfies the sort for free).
+// A full key pins every component (equality on each, or a final $in or
+// $all member): it is one map probe that reads the bucket in place, with
+// no sorted key list. keysInRange costs two binary searches — the
+// planner never walks a candidate range to price it. The cheapest
+// estimate wins; ties prefer a sort-satisfying plan, then
+// lexicographically smaller index names, then index over scan only
+// when the estimate is strictly smaller (or the index satisfies the
+// sort for free).
 
 import (
 	"fmt"
@@ -35,23 +37,18 @@ import (
 	"matproj/internal/query"
 )
 
-// planAccess describes how a chosen index is read.
+// planAccess describes how a chosen index is read: either one key
+// region [lo, hi) (extended by hiPrefix) or one point region per $in
+// member (inKeys).
 type planAccess struct {
-	kind string // "hash-eq", "hash-contains", "hash-range", "ordered"
-	hash *index
-	ord  *orderedIndex
-
-	// hash access
-	hashValue any
-	// rangeIDs is the materialized id set of a hash-range fallback (the
-	// legacy full-bucket walk, consulted only when no other index
-	// applies — an ordered index on the path replaces it entirely).
-	rangeIDs map[string]struct{}
-
-	// ordered access: either point/range bounds or $in point regions.
+	ord      *orderedIndex
 	lo, hi   string
 	hiPrefix string   // inclusive upper bound region (encoded prefix)
 	inKeys   []string // sorted encoded prefixes, one region per $in member
+	// point marks full-key regions: lo (or every inKeys member) is a
+	// complete index key, so its candidates are exactly that bucket —
+	// probed directly, without the sorted key list.
+	point bool
 
 	estimate int
 	bounds   string   // human-readable bound description for Explain
@@ -77,7 +74,6 @@ type queryPlan struct {
 // consideredAccess is one (index, estimate) pair the planner evaluated.
 type consideredAccess struct {
 	index    string
-	kind     string
 	estimate int
 }
 
@@ -90,18 +86,14 @@ func (c *Collection) planQueryLocked(flt *query.Filter, sortKeys []query.SortKey
 		return plan
 	}
 
-	var eq map[string]any
-	var ins []query.InConstraint
-	var ranges []query.RangeConstraint
-	var contains []struct {
-		Path  string
-		Value any
-	}
+	var cons constraintSet
 	if flt != nil {
-		eq = flt.EqualityFields()
-		ins = flt.InFields()
-		ranges = flt.RangeFields()
-		contains = flt.ContainsFields()
+		cons = constraintSet{
+			eq:       flt.EqualityFields(),
+			ins:      flt.InFields(),
+			ranges:   flt.RangeFields(),
+			contains: flt.ContainsFields(),
+		}
 	}
 	cpSeen := make(map[string]struct{})
 	notePath := func(p string) {
@@ -111,35 +103,19 @@ func (c *Collection) planQueryLocked(flt *query.Filter, sortKeys []query.SortKey
 		cpSeen[p] = struct{}{}
 		plan.constraintPaths = append(plan.constraintPaths, p)
 	}
-	for p := range eq {
+	for p := range cons.eq {
 		notePath(p)
 	}
-	for _, ic := range ins {
+	for _, ic := range cons.ins {
 		notePath(ic.Path)
 	}
-	for _, rc := range ranges {
+	for _, rc := range cons.ranges {
 		notePath(rc.Path)
 	}
-	for _, fc := range contains {
+	for _, fc := range cons.contains {
 		notePath(fc.Path)
 	}
 	sort.Strings(plan.constraintPaths)
-	rangeFor := func(path string) (query.RangeConstraint, bool) {
-		for _, rc := range ranges {
-			if rc.Path == path {
-				return rc, true
-			}
-		}
-		return query.RangeConstraint{}, false
-	}
-	inFor := func(path string) (query.InConstraint, bool) {
-		for _, ic := range ins {
-			if ic.Path == path {
-				return ic, true
-			}
-		}
-		return query.InConstraint{}, false
-	}
 
 	// Sort satisfaction precondition that is independent of the index:
 	// Find applies the projection before sorting, so index-order
@@ -156,124 +132,58 @@ func (c *Collection) planQueryLocked(flt *query.Filter, sortKeys []query.SortKey
 		}
 	}
 	sortEligible = sortEligible && (uniformAsc || uniformDesc)
-
-	var candidates []*planAccess
-
-	// Hash indexes: equality and contains lookups (existing semantics).
-	// A nil equality value is not index-usable — documents missing the
-	// field match {path: null} but contribute no hash key.
-	hashPaths := make([]string, 0, len(c.indexes))
-	for p := range c.indexes {
-		hashPaths = append(hashPaths, p)
+	sorts := func(ox *orderedIndex) bool {
+		return sortEligible && pathsEqual(sortPaths, ox.paths) && !ox.multikey
 	}
-	sort.Strings(hashPaths)
-	for _, p := range hashPaths {
-		ix := c.indexes[p]
-		if v, ok := eq[p]; ok && v != nil {
-			candidates = append(candidates, &planAccess{
-				kind: "hash-eq", hash: ix, hashValue: v,
-				estimate: len(ix.lookup(v)),
-				bounds:   fmt.Sprintf("%s = %v", p, v),
-				used:     []string{p},
-			})
-		}
-		for _, fc := range contains {
-			if fc.Path != p || fc.Value == nil {
-				continue
-			}
-			candidates = append(candidates, &planAccess{
-				kind: "hash-contains", hash: ix, hashValue: fc.Value,
-				estimate: len(ix.lookup(fc.Value)),
-				bounds:   fmt.Sprintf("%s contains %v", p, fc.Value),
-				used:     []string{p},
-			})
+	// fullIndexScan walks every key: each starts with a component tag
+	// below keyTagEnd, so string(keyTagEnd) bounds them all.
+	fullIndexScan := func(ox *orderedIndex) *planAccess {
+		return &planAccess{
+			ord: ox, hi: string(byte(keyTagEnd)), estimate: ox.nids,
+			bounds:   "full index scan",
+			sortable: sorts(ox),
 		}
 	}
 
-	// Ordered indexes: equality prefix, then one range or $in component.
-	orderedNames := make([]string, 0, len(c.ordered))
+	// Every index: equality prefix, then one $all, $in or range
+	// component. An index with no usable constraint can still satisfy
+	// the sort with a full in-order walk (estimate: every document).
+	names := make([]string, 0, len(c.ordered))
 	for n := range c.ordered {
-		orderedNames = append(orderedNames, n)
+		names = append(names, n)
 	}
-	sort.Strings(orderedNames)
-	for _, name := range orderedNames {
+	sort.Strings(names)
+	var candidates []*planAccess
+	for _, name := range names {
 		ox := c.ordered[name]
-		if acc := c.planOrderedLocked(ox, eq, rangeFor, inFor); acc != nil {
+		if acc := planOrdered(ox, &cons); acc != nil {
+			acc.sortable = sorts(ox)
 			candidates = append(candidates, acc)
-		} else if sortEligible && pathsEqual(sortPaths, ox.paths) && !ox.multikey {
-			// No usable constraint, but a full in-order index walk can
-			// still satisfy the sort (estimate: every document). The
-			// region spans every key: each starts with a component tag
-			// below keyTagEnd, so string(keyTagEnd) bounds them all.
-			candidates = append(candidates, &planAccess{
-				kind: "ordered", ord: ox,
-				lo: "", hi: string(byte(keyTagEnd)), estimate: ox.nids,
-				bounds:   "full index scan",
-				sortable: true,
-			})
-		}
-	}
-	// Hash-range fallback: only when nothing else applies at all. This
-	// is the legacy behavior — materialize the ids by walking every
-	// bucket in value order — and it is exactly the walk an ordered
-	// index on the path avoids, so any other candidate suppresses it.
-	if len(candidates) == 0 {
-		for _, rc := range ranges {
-			ix, ok := c.indexes[rc.Path]
-			if !ok {
-				continue
-			}
-			ids := ix.rangeLookup(rc)
-			candidates = append(candidates, &planAccess{
-				kind: "hash-range", hash: ix, rangeIDs: ids,
-				estimate: len(ids),
-				bounds:   rangeBoundString(rc.Path, rc),
-				used:     []string{rc.Path},
-			})
+		} else if sorts(ox) {
+			candidates = append(candidates, fullIndexScan(ox))
 		}
 	}
 
+	// Record everything considered (names are unique and sorted, so
+	// Explain is stable).
 	for _, acc := range candidates {
-		if acc.kind == "ordered" && acc.ord != nil {
-			acc.sortable = acc.sortable ||
-				(sortEligible && pathsEqual(sortPaths, acc.ord.paths) && !acc.ord.multikey)
-		}
+		plan.considered = append(plan.considered, consideredAccess{index: acc.ord.name, estimate: acc.estimate})
 	}
 
-	// Record everything considered (sorted by name for stable Explain).
-	for _, acc := range candidates {
-		plan.considered = append(plan.considered, consideredAccess{
-			index: accessIndexName(acc), kind: acc.kind, estimate: acc.estimate,
-		})
-	}
-	sort.Slice(plan.considered, func(i, j int) bool {
-		a, b := plan.considered[i], plan.considered[j]
-		if a.index != b.index {
-			return a.index < b.index
-		}
-		return a.kind < b.kind
-	})
-
-	// Hint: force the named index when it produced a candidate.
+	// Hint: force the named index when it produced a candidate. An
+	// index hint with no constraint-derived access still forces a full
+	// index scan — same plan on every shard regardless of per-shard
+	// statistics.
 	if opts != nil && opts.Hint != "" {
 		for _, acc := range candidates {
-			if accessIndexName(acc) == opts.Hint {
+			if acc.ord.name == opts.Hint {
 				c.adoptAccess(plan, acc, sortEligible, uniformDesc)
 				plan.hinted = true
 				return plan
 			}
 		}
-		// An ordered hint with no constraint-derived access still forces
-		// a full index scan — same plan on every shard regardless of
-		// per-shard statistics.
 		if ox, ok := c.ordered[opts.Hint]; ok {
-			acc := &planAccess{
-				kind: "ordered", ord: ox, estimate: ox.nids,
-				hi:       string(byte(keyTagEnd)), // every key sorts below the bare end tag
-				bounds:   "full index scan",
-				sortable: sortEligible && pathsEqual(sortPaths, ox.paths) && !ox.multikey,
-			}
-			c.adoptAccess(plan, acc, sortEligible, uniformDesc)
+			c.adoptAccess(plan, fullIndexScan(ox), sortEligible, uniformDesc)
 			plan.hinted = true
 			return plan
 		}
@@ -297,6 +207,46 @@ func (c *Collection) planQueryLocked(flt *query.Filter, sortKeys []query.SortKey
 	return plan
 }
 
+// constraintSet holds a filter's index-usable constraints.
+type constraintSet struct {
+	eq       map[string]any
+	ins      []query.InConstraint
+	ranges   []query.RangeConstraint
+	contains []struct {
+		Path  string
+		Value any
+	}
+}
+
+func (cs *constraintSet) rangeFor(path string) (query.RangeConstraint, bool) {
+	for _, rc := range cs.ranges {
+		if rc.Path == path {
+			return rc, true
+		}
+	}
+	return query.RangeConstraint{}, false
+}
+
+func (cs *constraintSet) inFor(path string) (query.InConstraint, bool) {
+	for _, ic := range cs.ins {
+		if ic.Path == path {
+			return ic, true
+		}
+	}
+	return query.InConstraint{}, false
+}
+
+// allFor lists the $all members required at path.
+func (cs *constraintSet) allFor(path string) []any {
+	var out []any
+	for _, fc := range cs.contains {
+		if fc.Path == path {
+			out = append(out, fc.Value)
+		}
+	}
+	return out
+}
+
 // adoptAccess installs an access path into the plan.
 func (c *Collection) adoptAccess(plan *queryPlan, acc *planAccess, sortEligible, desc bool) {
 	plan.mode = "index"
@@ -309,7 +259,7 @@ func (c *Collection) adoptAccess(plan *queryPlan, acc *planAccess, sortEligible,
 }
 
 // betterAccess orders candidate access paths: smaller estimate first,
-// then sort-satisfying, then stable by name/kind.
+// then sort-satisfying, then stable by index name.
 func betterAccess(a, b *planAccess) bool {
 	if a.estimate != b.estimate {
 		return a.estimate < b.estimate
@@ -317,36 +267,21 @@ func betterAccess(a, b *planAccess) bool {
 	if a.sortable != b.sortable {
 		return a.sortable
 	}
-	an, bn := accessIndexName(a), accessIndexName(b)
-	if an != bn {
-		return an < bn
-	}
-	return a.kind < b.kind
+	return a.ord.name < b.ord.name
 }
 
-func accessIndexName(acc *planAccess) string {
-	if acc.ord != nil {
-		return acc.ord.name
-	}
-	return acc.hash.path
-}
-
-// planOrderedLocked matches an ordered index against the constraint
-// sets: consume equality constraints along the component prefix, then
-// optionally one range or $in constraint, and translate them into
-// encoded key bounds. Returns nil when no leading component is
-// constrained.
-func (c *Collection) planOrderedLocked(ox *orderedIndex,
-	eq map[string]any,
-	rangeFor func(string) (query.RangeConstraint, bool),
-	inFor func(string) (query.InConstraint, bool)) *planAccess {
-
+// planOrdered matches an ordered index against the constraint set:
+// consume equality constraints along the component prefix, then
+// optionally one $all, $in or range constraint on the next component,
+// and translate them into encoded key bounds. Returns nil when no
+// leading component is constrained. Caller holds c.mu.
+func planOrdered(ox *orderedIndex, cons *constraintSet) *planAccess {
 	var prefix []byte
 	var used []string
 	var boundParts []string
 	eqCols := 0
 	for _, p := range ox.paths {
-		v, ok := eq[p]
+		v, ok := cons.eq[p]
 		if !ok {
 			break
 		}
@@ -356,6 +291,20 @@ func (c *Collection) planOrderedLocked(ox *orderedIndex,
 		eqCols++
 	}
 
+	// Full-tuple equality: a single bucket probe.
+	if eqCols == len(ox.paths) {
+		key := string(prefix)
+		return &planAccess{
+			ord: ox, lo: key, hi: key, hiPrefix: key, point: true,
+			estimate: len(ox.probe(key)),
+			bounds:   strings.Join(boundParts, ", "),
+			used:     used,
+		}
+	}
+
+	next := ox.paths[eqCols]
+	// Regions on the next component are full keys when it is the last.
+	point := eqCols+1 == len(ox.paths)
 	avg := 1
 	if len(ox.entries) > 0 {
 		avg = (ox.nids + len(ox.entries) - 1) / len(ox.entries)
@@ -369,42 +318,52 @@ func (c *Collection) planOrderedLocked(ox *orderedIndex,
 		}
 		return (end - start) * avg
 	}
-
-	// Full-tuple equality: a single bucket probe.
-	if eqCols == len(ox.paths) {
-		key := string(prefix)
-		est := 0
-		if b, ok := ox.entries[key]; ok {
-			est = len(b.ids)
+	memberKey := func(v any) string {
+		return string(encodeKey(append([]byte{}, prefix...), v))
+	}
+	memberEstimate := func(key string) int {
+		if point {
+			return len(ox.probe(key))
 		}
-		return &planAccess{
-			kind: "ordered", ord: ox,
-			lo: key, hi: key, hiPrefix: key,
-			estimate: est,
-			bounds:   strings.Join(boundParts, ", "),
-			used:     used,
-			sortable: false, // set by the caller from the sort spec
-		}
+		return regionEstimate(key, key, key)
 	}
 
-	next := ox.paths[eqCols]
+	// $all on the next component: every member must be present, so any
+	// one member's point region is a superset of the matches (a
+	// multikey index stores each array element under its own key).
+	// Read the smallest.
+	if members := cons.allFor(next); len(members) > 0 {
+		var best *planAccess
+		for _, v := range members {
+			key := memberKey(v)
+			est := memberEstimate(key)
+			if best == nil || est < best.estimate {
+				best = &planAccess{
+					ord: ox, lo: key, hi: key, hiPrefix: key, point: point,
+					estimate: est,
+					bounds:   appendBound(boundParts, fmt.Sprintf("%s contains %v", next, v)),
+					used:     append(used, next),
+				}
+			}
+		}
+		return best
+	}
 
 	// $in on the next component: one point region per member. Regions
 	// are sorted and deduplicated, so concatenating them preserves
 	// index order.
-	if ic, ok := inFor(next); ok {
+	if ic, ok := cons.inFor(next); ok {
 		regions := make([]string, 0, len(ic.Values))
 		for _, v := range ic.Values {
-			regions = append(regions, string(encodeKey(append([]byte{}, prefix...), v)))
+			regions = append(regions, memberKey(v))
 		}
 		regions = dedupeSortedStrings(regions)
 		est := 0
 		for _, r := range regions {
-			est += regionEstimate(r, r, r)
+			est += memberEstimate(r)
 		}
 		return &planAccess{
-			kind: "ordered", ord: ox,
-			inKeys:   regions,
+			ord: ox, inKeys: regions, point: point,
 			estimate: est,
 			bounds:   appendBound(boundParts, fmt.Sprintf("%s in (%d values)", next, len(ic.Values))),
 			used:     append(used, next),
@@ -415,7 +374,7 @@ func (c *Collection) planOrderedLocked(ox *orderedIndex,
 	// value's type class, mirroring cmpPred's same-class rule; document
 	// and fallback-class bounds are skipped because Compare's "other"
 	// rank is not contiguous with the document rank.
-	if rc, ok := rangeFor(next); ok {
+	if rc, ok := cons.rangeFor(next); ok {
 		classOK := func(v any) bool {
 			switch keyTagOf(v) {
 			case keyTagNull, keyTagNumber, keyTagString, keyTagBool, keyTagArray:
@@ -461,8 +420,8 @@ func (c *Collection) planOrderedLocked(ox *orderedIndex,
 				}
 			}
 			return &planAccess{
-				kind: "ordered", ord: ox,
-				lo: lo, hi: hi, hiPrefix: hiPrefix,
+				ord: ox,
+				lo:  lo, hi: hi, hiPrefix: hiPrefix,
 				estimate: regionEstimate(lo, hi, hiPrefix),
 				bounds:   appendBound(boundParts, rangeBoundString(next, rc)),
 				used:     append(used, next),
@@ -474,8 +433,8 @@ func (c *Collection) planOrderedLocked(ox *orderedIndex,
 	if eqCols > 0 {
 		key := string(prefix)
 		return &planAccess{
-			kind: "ordered", ord: ox,
-			lo: key, hi: key, hiPrefix: key,
+			ord: ox,
+			lo:  key, hi: key, hiPrefix: key,
 			estimate: regionEstimate(key, key, key),
 			bounds:   strings.Join(boundParts, ", "),
 			used:     used,
@@ -525,66 +484,58 @@ func pathsEqual(a, b []string) bool {
 	return true
 }
 
-// candidateIDsLocked materializes the (unverified, deduplicated)
-// candidate id set for an index access path. Caller holds c.mu.
-func (c *Collection) candidateIDsLocked(acc *planAccess) map[string]struct{} {
-	switch acc.kind {
-	case "hash-eq", "hash-contains":
-		ids := acc.hash.lookup(acc.hashValue)
-		if ids == nil {
-			return map[string]struct{}{}
-		}
-		return ids
-	case "hash-range":
-		if acc.rangeIDs == nil {
-			return map[string]struct{}{}
-		}
-		return acc.rangeIDs
-	case "ordered":
-		out := make(map[string]struct{})
-		collect := func(lo, hi, hiPrefix string) {
-			keys := acc.ord.sortedKeys()
-			start, end := acc.ord.keyRange(keys, lo, hi, hiPrefix)
-			for _, k := range keys[start:end] {
-				for id := range acc.ord.entries[k].ids {
-					out[id] = struct{}{}
-				}
-			}
-		}
+// regionKeys lists the index keys an access path covers, in index
+// order. Full-key regions come back as-is, without touching the sorted
+// key list (an absent key simply has no bucket); every other region is
+// a slice of the sorted keys. Caller holds c.mu.
+func (acc *planAccess) regionKeys() []string {
+	if acc.point {
 		if acc.inKeys != nil {
-			for _, r := range acc.inKeys {
-				collect(r, r, r)
-			}
-			return out
+			return acc.inKeys
 		}
-		collect(acc.lo, acc.hi, acc.hiPrefix)
-		return out
+		return []string{acc.lo}
 	}
-	return map[string]struct{}{}
+	keys := acc.ord.sortedKeys()
+	if acc.inKeys == nil {
+		s, e := acc.ord.keyRange(keys, acc.lo, acc.hi, acc.hiPrefix)
+		return keys[s:e]
+	}
+	var out []string
+	for _, r := range acc.inKeys {
+		s, e := acc.ord.keyRange(keys, r, r, r)
+		out = append(out, keys[s:e]...)
+	}
+	return out
 }
 
-// orderedEmitLocked walks the chosen ordered-index region in index
-// order (reversed when reverse is set), emitting matching document ids:
+// candidateIDsLocked materializes the (unverified, deduplicated)
+// candidate id set for an index access path. Caller holds c.mu and must
+// not mutate the result: a single full key returns its bucket in place.
+func (c *Collection) candidateIDsLocked(acc *planAccess) map[string]struct{} {
+	if acc.point && acc.inKeys == nil {
+		return acc.ord.probe(acc.lo)
+	}
+	out := make(map[string]struct{})
+	for _, k := range acc.regionKeys() {
+		for id := range acc.ord.probe(k) {
+			out[id] = struct{}{}
+		}
+	}
+	return out
+}
+
+// orderedEmitLocked walks the chosen index region in index order
+// (reversed when reverse is set), emitting matching document ids:
 // within a bucket, ids come out in insertion-sequence order, which
 // matches SortDocs' stable tie-breaking. Emission stops early once the
 // caller has seen skip+limit matches (fn returns false). Only valid for
 // non-multikey plans (each document appears under exactly one key).
 func (c *Collection) orderedEmitLocked(acc *planAccess, reverse bool, fn func(id string) bool) {
-	keys := acc.ord.sortedKeys()
-	var regions [][2]int
-	if acc.inKeys != nil {
-		for _, r := range acc.inKeys {
-			s, e := acc.ord.keyRange(keys, r, r, r)
-			regions = append(regions, [2]int{s, e})
-		}
-	} else {
-		s, e := acc.ord.keyRange(keys, acc.lo, acc.hi, acc.hiPrefix)
-		regions = append(regions, [2]int{s, e})
-	}
+	keys := acc.regionKeys()
 	emitBucket := func(k string) bool {
-		b := acc.ord.entries[k]
-		ids := make([]string, 0, len(b.ids))
-		for id := range b.ids {
+		b := acc.ord.probe(k)
+		ids := make([]string, 0, len(b))
+		for id := range b {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return c.seq[ids[i]] < c.seq[ids[j]] })
@@ -596,20 +547,16 @@ func (c *Collection) orderedEmitLocked(acc *planAccess, reverse bool, fn func(id
 		return true
 	}
 	if reverse {
-		for ri := len(regions) - 1; ri >= 0; ri-- {
-			for i := regions[ri][1] - 1; i >= regions[ri][0]; i-- {
-				if !emitBucket(keys[i]) {
-					return
-				}
+		for i := len(keys) - 1; i >= 0; i-- {
+			if !emitBucket(keys[i]) {
+				return
 			}
 		}
 		return
 	}
-	for _, reg := range regions {
-		for i := reg[0]; i < reg[1]; i++ {
-			if !emitBucket(keys[i]) {
-				return
-			}
+	for _, k := range keys {
+		if !emitBucket(k) {
+			return
 		}
 	}
 }
@@ -627,8 +574,8 @@ func (c *Collection) explainDocLocked(plan *queryPlan) document.D {
 		"hinted":               plan.hinted,
 	}
 	if plan.access != nil {
-		d["index"] = accessIndexName(plan.access)
-		d["index_kind"] = accessKindLabel(plan.access.kind)
+		d["index"] = plan.access.ord.name
+		d["index_kind"] = "ordered"
 		d["bounds"] = plan.access.bounds
 		residual := residualPaths(plan)
 		rp := make([]any, len(residual))
@@ -641,19 +588,12 @@ func (c *Collection) explainDocLocked(plan *queryPlan) document.D {
 	for _, ca := range plan.considered {
 		considered = append(considered, document.D{
 			"index":    ca.index,
-			"kind":     accessKindLabel(ca.kind),
+			"kind":     "ordered",
 			"estimate": int64(ca.estimate),
 		})
 	}
 	d["considered"] = considered
 	return d
-}
-
-func accessKindLabel(kind string) string {
-	if kind == "ordered" {
-		return "ordered"
-	}
-	return "hash"
 }
 
 // residualPaths lists constrained paths the chosen access path does not
@@ -696,7 +636,7 @@ func (plan *queryPlan) planSummary() string {
 	case "id":
 		return "id"
 	}
-	s := "index:" + accessIndexName(plan.access)
+	s := "index:" + plan.access.ord.name
 	if plan.sortSatisfied {
 		s += "+sort"
 	}

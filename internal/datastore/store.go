@@ -2,8 +2,8 @@
 // center of the Materials Project architecture (the role MongoDB plays in
 // the paper). A Store holds named Collections of JSON-like documents and
 // supports Mongo-style queries, atomic updates, find-and-modify (the
-// primitive the workflow engine uses to claim jobs), secondary indexes
-// (hash and ordered, multikey over arrays), cursors, distinct, a built-in
+// primitive the workflow engine uses to claim jobs), ordered secondary
+// indexes (compound, multikey over arrays), cursors, distinct, a built-in
 // single-threaded MapReduce (mimicking MongoDB's JavaScript engine), and
 // optional durability via an append-only journal plus snapshots.
 //

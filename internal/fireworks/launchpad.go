@@ -88,10 +88,10 @@ func NewLaunchPad(store *datastore.Store, maxReruns int) *LaunchPad {
 		leaseSecs:   defaultLeaseSecs,
 		backoffBase: defaultBackoffBase,
 	}
-	lp.engines.EnsureIndex("state")
-	lp.engines.EnsureIndex("wf_id")
-	lp.tasks.EnsureIndex("binder_key")
-	lp.tasks.EnsureIndex("fw_id")
+	lp.engines.EnsureOrderedIndex("state")
+	lp.engines.EnsureOrderedIndex("wf_id")
+	lp.tasks.EnsureOrderedIndex("binder_key")
+	lp.tasks.EnsureOrderedIndex("fw_id")
 	return lp
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
@@ -14,7 +15,7 @@ import (
 // it), as does any local-store wrapper.
 type CollectionInserter interface {
 	Insert(collection string, doc document.D) (string, error)
-	EnsureIndex(collection, path string)
+	EnsureOrderedIndex(collection string, paths ...string)
 }
 
 // CopyCollections streams collections from a built deployment store into
@@ -32,8 +33,8 @@ func CopyCollections(dst CollectionInserter, src *datastore.Store, collections .
 	total := 0
 	for _, name := range collections {
 		c := src.C(name)
-		for _, path := range c.Stats().Indexes {
-			dst.EnsureIndex(name, path)
+		for _, index := range c.Stats().Indexes {
+			dst.EnsureOrderedIndex(name, strings.Split(index, ",")...)
 		}
 		docs, err := c.FindAll(nil, nil)
 		if err != nil {

@@ -110,8 +110,8 @@ func Build(cfg Config) (*Deployment, error) {
 
 	// 1. Input data: synthetic ICSD → mps collection (§III-B1).
 	mps := store.C("mps")
-	mps.EnsureIndex("elements")
-	mps.EnsureIndex("nelectrons")
+	mps.EnsureOrderedIndex("elements")
+	mps.EnsureOrderedIndex("nelectrons")
 	recs := icsd.Generate(icsd.Config{Seed: cfg.Seed, DuplicateRate: cfg.DuplicateRate}, cfg.NMaterials)
 	pad := fireworks.NewLaunchPad(store, 5)
 	if cfg.Obs != nil {
@@ -198,8 +198,8 @@ func (d *Deployment) buildDerived() error {
 	}
 	bands := d.Store.C("bandstructures")
 	xrd := d.Store.C("xrd")
-	bands.EnsureIndex("material_id")
-	xrd.EnsureIndex("material_id")
+	bands.EnsureOrderedIndex("material_id")
+	xrd.EnsureOrderedIndex("material_id")
 	var electrodes []analysis.ElectrodeInput
 	electrodeStructures := map[int]*crystal.Structure{}
 	for _, m := range mats {

@@ -31,7 +31,7 @@ type Auth struct {
 // NewAuth wires key management to a store.
 func NewAuth(store *datastore.Store) *Auth {
 	users := store.C("users")
-	users.EnsureIndex("api_key")
+	users.EnsureOrderedIndex("api_key")
 	return &Auth{users: users}
 }
 

@@ -38,8 +38,8 @@ func New(store *datastore.Store, coreCollection string) *Manager {
 		notes: store.C("annotations"),
 		core:  store.C(coreCollection),
 	}
-	m.data.EnsureIndex("sandbox_id")
-	m.notes.EnsureIndex("material_id")
+	m.data.EnsureOrderedIndex("sandbox_id")
+	m.notes.EnsureOrderedIndex("material_id")
 	return m
 }
 

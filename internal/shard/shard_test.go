@@ -319,7 +319,7 @@ func TestFailoverPromotesReplica(t *testing.T) {
 
 func TestEnsureIndexEverywhere(t *testing.T) {
 	tc := seeded(t, 2, 1, 50)
-	tc.router.EnsureIndex("materials", "nelectrons")
+	tc.router.EnsureOrderedIndex("materials", "nelectrons")
 	for gi, nodes := range tc.nodes {
 		for mi, n := range nodes {
 			idx := n.Store().C("materials").Stats().Indexes

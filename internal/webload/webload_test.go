@@ -30,8 +30,8 @@ func corpus(tb testing.TB, n int) (*datastore.Store, *datastore.Collection) {
 			tb.Fatal(err)
 		}
 	}
-	mats.EnsureIndex("pretty_formula")
-	mats.EnsureIndex("elements")
+	mats.EnsureOrderedIndex("pretty_formula")
+	mats.EnsureOrderedIndex("elements")
 	return store, mats
 }
 

@@ -210,15 +210,16 @@ curl -fsS http://127.0.0.1:19820/metrics \
     || { echo "check: replica was not re-admitted via log catch-up"; curl -fsS http://127.0.0.1:19820/metrics | jq '.counters'; exit 1; }
 echo "failover smoke: SLO held through kill + log-catch-up re-admission OK"
 
-# The in-process chaos variant writes the BENCH_failover.json artifact
-# and enforces the same gates without process orchestration.
+# The in-process chaos variant enforces the same gates without process
+# orchestration. Its artifact goes to $TMP: a gate run never rewrites
+# the committed BENCH_failover.json.
 "$TMP/mpbench" -exp failover -rate 100 -load-duration 3s \
-    -failover-out BENCH_failover.json \
+    -failover-out "$TMP/BENCH_failover.json" \
     || { echo "check: in-process failover gate failed"; exit 1; }
 
 # Group-commit ingest gate: batched durable writes must sustain at least
-# 5x the sequential fsync-per-document throughput (artifact:
-# BENCH_ingest.json).
-"$TMP/mpbench" -exp ingest -ingest-out BENCH_ingest.json \
+# 5x the sequential fsync-per-document throughput (artifact written to
+# $TMP, like the failover one).
+"$TMP/mpbench" -exp ingest -ingest-out "$TMP/BENCH_ingest.json" \
     || { echo "check: ingest throughput gate failed"; exit 1; }
 echo "check: all green"
