@@ -15,7 +15,7 @@ import (
 )
 
 // InsertMany routes a batch of documents to their shard groups as one
-// sub-batch per group, replicated like Insert (≥1 member ack per group).
+// sub-batch per group, written on each group's primary like Insert.
 // Returned ids are in input order. On a group failure the successfully
 // routed positions keep their ids and the first group error is returned;
 // like datastore.InsertMany, each sub-batch itself is all-or-nothing on
@@ -42,9 +42,7 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 			targets = append(targets, gi)
 		}
 	}
-	var mu sync.Mutex
 	err := r.scatter(targets, func(gi int) error {
-		first := true
 		werr := r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.InsertManyResponse
 			req := wire.InsertManyRequest{Collection: collection, Docs: groupDocs[gi]}
@@ -52,25 +50,18 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 				return err
 			}
 			m.noteGen(resp.Gen)
-			mu.Lock()
-			if first {
-				for si, oi := range groupIdx[gi] {
-					if si < len(resp.IDs) {
-						ids[oi] = resp.IDs[si]
-					}
+			// Each group owns its own input positions.
+			for si, oi := range groupIdx[gi] {
+				if si < len(resp.IDs) {
+					ids[oi] = resp.IDs[si]
 				}
-				first = false
 			}
-			mu.Unlock()
 			return nil
 		})
 		r.bumpGen(collection, gi)
 		return werr
 	})
-	if err != nil {
-		return ids, err
-	}
-	return ids, nil
+	return ids, err
 }
 
 // bulkRoute is the routing decision for one BulkWrite op: the wire op to
@@ -126,10 +117,11 @@ func (r *Router) BulkWrite(collection string, ops []datastore.BulkOp) (datastore
 	if len(targets) == 0 {
 		return res, nil
 	}
+	// An op spanning several groups merges into one PerOp slot, so the
+	// merge is shared between the scatter's goroutines.
 	var mu sync.Mutex
 	failed := 0
 	_ = r.scatter(targets, func(gi int) error {
-		first := true
 		werr := r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.BulkWriteResponse
 			req := wire.BulkWriteRequest{Collection: collection, Ops: groupOps[gi]}
@@ -138,18 +130,15 @@ func (r *Router) BulkWrite(collection string, ops []datastore.BulkOp) (datastore
 			}
 			m.noteGen(resp.Gen)
 			mu.Lock()
-			if first {
-				res.Inserted += resp.Inserted
-				res.Matched += resp.Matched
-				res.Modified += resp.Modified
-				res.Removed += resp.Removed
-				for si, oi := range groupIdx[gi] {
-					if si >= len(resp.PerOp) {
-						break
-					}
-					mergeBulkOpResult(&res.PerOp[oi], resp.PerOp[si])
+			res.Inserted += resp.Inserted
+			res.Matched += resp.Matched
+			res.Modified += resp.Modified
+			res.Removed += resp.Removed
+			for si, oi := range groupIdx[gi] {
+				if si >= len(resp.PerOp) {
+					break
 				}
-				first = false
+				mergeBulkOpResult(&res.PerOp[oi], resp.PerOp[si])
 			}
 			mu.Unlock()
 			return nil

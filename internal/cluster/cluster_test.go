@@ -202,7 +202,8 @@ func TestRoutedWritesReplicate(t *testing.T) {
 	if res.Matched == 0 || res.Matched != res.Modified {
 		t.Errorf("update res = %+v", res)
 	}
-	// Every member of every group must agree (synchronous replication).
+	// Every member of every group must agree: replicas receive each
+	// write through the log before the router answers.
 	for gi, nodes := range tc.nodes {
 		var counts []int
 		for _, n := range nodes {
@@ -270,51 +271,34 @@ func TestCopyCollectionsRecreatesIndexes(t *testing.T) {
 	}
 }
 
-// TestRoutedMapReduce runs a registered job across shards and checks the
-// re-reduced result matches a standalone MapReduce.
+// TestRoutedMapReduce runs the grouping a MapReduce job expresses —
+// documents counted per formula — as a $group pipeline across three
+// shards, and checks the router's merge equals a standalone store's.
 func TestRoutedMapReduce(t *testing.T) {
-	cluster.RegisterJob("count_by_formula", cluster.Job{
-		Map: func(doc document.D, emit func(string, any)) {
-			if f, ok := doc["pretty_formula"].(string); ok {
-				emit(f, int64(1))
-			}
-		},
-		Reduce: func(key string, values []any) any {
-			var sum int64
-			for _, v := range values {
-				if n, ok := v.(int64); ok {
-					sum += n
-				}
-			}
-			return sum
-		},
-	})
-
 	tc := startCluster(t, 3, 0)
 	local := datastore.MustOpenMemory()
 	seedMaterials(t, tc.router.C("materials"), 30)
 	seedMaterials(t, localColl{local.C("materials")}, 30)
 
-	job, _ := cluster.LookupJob("count_by_formula")
-	want, err := local.C("materials").MapReduce(nil, job.Map, job.Reduce)
+	stages := []document.D{
+		{"$group": document.D{"_id": "$pretty_formula", "value": document.D{"$sum": 1}}},
+		{"$sort": document.D{"_id": 1}},
+	}
+	want, err := local.C("materials").Aggregate(stages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tc.router.MapReduce("materials", "count_by_formula", nil)
+	got, err := tc.router.C("materials").Aggregate(stages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("mr = %v, want %v", got, want)
+	if len(got) != len(want) || len(want) != 7 {
+		t.Fatalf("group = %v, want %v (7 formulas)", got, want)
 	}
 	for i := range want {
 		if !document.Equal(got[i], want[i]) {
-			t.Errorf("mr[%d] = %v, want %v", i, got[i], want[i])
+			t.Errorf("group[%d] = %v, want %v", i, got[i], want[i])
 		}
-	}
-
-	if _, err := tc.router.MapReduce("materials", "no-such-job", nil); err == nil {
-		t.Error("unknown job accepted")
 	}
 }
 

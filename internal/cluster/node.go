@@ -3,7 +3,8 @@
 // primitives over an internal HTTP API, and a query router owns the
 // shard map, hash-partitioning documents on _id, scattering reads across
 // groups and re-merging them with a standalone store's sort/skip/limit
-// semantics (partition.go), replicating writes to group members, and
+// semantics (partition.go), running writes on each group's primary and
+// shipping them to its replicas through the replication log, and
 // promoting replicas when a primary stops answering.
 package cluster
 
@@ -15,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"matproj/internal/cluster/wire"
@@ -23,38 +23,6 @@ import (
 	"matproj/internal/document"
 	"matproj/internal/obs"
 )
-
-// Job is a named MapReduce program. Go functions cannot cross the wire,
-// so distributed MapReduce runs jobs registered by name in every binary
-// of the cluster: nodes execute the map/reduce over their shard, the
-// router merges the partials and re-reduces (ReduceFunc must therefore be
-// associative, same contract as datastore.MapReduce).
-type Job struct {
-	Map    datastore.MapFunc
-	Reduce datastore.ReduceFunc
-}
-
-var (
-	jobsMu sync.RWMutex
-	jobs   = make(map[string]Job)
-)
-
-// RegisterJob installs a named MapReduce job in the process-wide
-// registry. Registering the same name twice overwrites (last wins), so
-// tests can re-register.
-func RegisterJob(name string, j Job) {
-	jobsMu.Lock()
-	jobs[name] = j
-	jobsMu.Unlock()
-}
-
-// LookupJob fetches a registered job by name.
-func LookupJob(name string) (Job, bool) {
-	jobsMu.RLock()
-	j, ok := jobs[name]
-	jobsMu.RUnlock()
-	return j, ok
-}
 
 // Node is one shard member: a datastore exposed over the internal wire
 // protocol. It is an http.Handler; mount it at the server root (paths
@@ -70,8 +38,8 @@ type Node struct {
 // become no-ops).
 func NewNode(id string, store *datastore.Store, reg *obs.Registry) *Node {
 	n := &Node{id: id, store: store, reg: reg, mux: http.NewServeMux()}
-	// Every node is a replication-log peer: memory-backed stores get the
-	// bounded entry ring (durable stores already log via their journal).
+	// Every node is a replication-log peer: its store serves pulls from
+	// the bounded entry ring.
 	store.EnableReplication(0)
 	post := func(path string, h func(w http.ResponseWriter, r *http.Request) error) {
 		n.mux.HandleFunc("POST "+wire.Version+path, func(w http.ResponseWriter, r *http.Request) {
@@ -88,7 +56,6 @@ func NewNode(id string, store *datastore.Store, reg *obs.Registry) *Node {
 	post(wire.PathRemove, n.handleRemove)
 	post(wire.PathAggregate, n.handleAggregate)
 	post(wire.PathDistinct, n.handleDistinct)
-	post(wire.PathMapReduce, n.handleMapReduce)
 	post(wire.PathEnsureIndex, n.handleEnsureIndex)
 	post(wire.PathExplain, n.handleExplain)
 	post(wire.PathReplPull, n.handleReplPull)
@@ -130,8 +97,8 @@ func (n *Node) serve(op string, w http.ResponseWriter, r *http.Request, h func(h
 	}
 }
 
-// badRequestError marks caller mistakes (malformed bodies, unknown jobs)
-// so serve maps them to 400 rather than 500.
+// badRequestError marks caller mistakes (malformed bodies, bad repl
+// parameters) so serve maps them to 400 rather than 500.
 type badRequestError struct{ err error }
 
 func (e badRequestError) Error() string { return e.err.Error() }
@@ -285,29 +252,13 @@ func (n *Node) handleDistinct(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, wire.DistinctResponse{Values: vals})
 }
 
-func (n *Node) handleMapReduce(w http.ResponseWriter, r *http.Request) error {
-	var req wire.MapReduceRequest
-	if err := wire.DecodeJSON(r.Body, &req); err != nil {
-		return badRequest("%v", err)
-	}
-	job, ok := LookupJob(req.Job)
-	if !ok {
-		return badRequest("cluster: unknown mapreduce job %q", req.Job)
-	}
-	docs, err := n.store.C(req.Collection).MapReduce(wire.NormalizeMap(req.Filter), job.Map, job.Reduce)
-	if err != nil {
-		return fmt.Errorf("cluster: mapreduce %s: %w", req.Collection, err)
-	}
-	return writeJSON(w, wire.DocsResponse{Docs: wire.FromDocs(docs)})
-}
-
 func (n *Node) handleEnsureIndex(w http.ResponseWriter, r *http.Request) error {
 	var req wire.EnsureIndexRequest
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
 	n.store.C(req.Collection).EnsureOrderedIndex(req.Paths...)
-	return writeJSON(w, wire.OKResponse{OK: true})
+	return writeJSON(w, wire.OKResponse{OK: true, Gen: n.store.ReplGen()})
 }
 
 func (n *Node) handleExplain(w http.ResponseWriter, r *http.Request) error {

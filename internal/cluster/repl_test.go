@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,5 +455,145 @@ func TestIndexDefsReachReadmittedReplica(t *testing.T) {
 	}
 	if merged["sharded"] != true || merged["mode"] != "index" {
 		t.Fatalf("routed explain = %v, want sharded index mode", merged)
+	}
+}
+
+// TestSweepDuringWriteKeepsAppliedWrite holds a routed insert between its
+// primary and replica steps — the replica's first POST after seeding
+// blocks in its handler until released — and runs a health sweep in
+// that window. A write the primary applied must be acked, never turned
+// into a "duplicate _id" by a replica that received the entry twice, and
+// the pair must converge.
+func TestSweepDuringWriteKeepsAppliedWrite(t *testing.T) {
+	reg := obs.NewRegistry()
+	primary := cluster.NewNode("p", datastore.MustOpenMemory(), reg)
+	replica := cluster.NewNode("r", datastore.MustOpenMemory(), reg)
+	var armed atomic.Bool
+	reached, release := make(chan struct{}), make(chan struct{})
+	hold := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPost && armed.CompareAndSwap(true, false) {
+			close(reached)
+			<-release
+		}
+		replica.ServeHTTP(w, req)
+	})
+	ps, rs := httptest.NewServer(primary), httptest.NewServer(hold)
+	t.Cleanup(ps.Close)
+	t.Cleanup(rs.Close)
+	r, err := cluster.NewRouter(cluster.RouterOptions{
+		Groups: [][]string{{ps.URL, rs.URL}}, Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	routed := r.C("materials")
+	seedMaterials(t, routed, 5)
+
+	armed.Store(true)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := routed.Insert(document.D{"_id": "probe-1", "seq": int64(1)})
+		errc <- err
+	}()
+	<-reached
+	if healthy := r.CheckNow(); healthy != 2 {
+		t.Errorf("healthy during held write = %d, want 2", healthy)
+	}
+	close(release)
+	if err := <-errc; err != nil {
+		t.Fatalf("insert applied on the primary failed: %v", err)
+	}
+	if g0, g1 := primary.Store().ReplGen(), replica.Store().ReplGen(); g0 != g1 {
+		t.Errorf("gens diverged: primary %d, replica %d", g0, g1)
+	}
+	if _, err := replica.Store().C("materials").FindID("probe-1"); err != nil {
+		t.Errorf("replica lacks the acked write: %v", err)
+	}
+	if v := reg.Counter("cluster.replica_write_failures").Value(); v != 0 {
+		t.Errorf("replica_write_failures = %d, want 0", v)
+	}
+}
+
+// TestReplicasExecuteNoClientOps drives every routed write through a
+// 1×2 group and checks the replica never executed a client op: it
+// received each write through the log, so its documents, indexes and
+// generation equal the primary's.
+func TestReplicasExecuteNoClientOps(t *testing.T) {
+	routerReg, primaryReg, replicaReg := obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()
+	primary := cluster.NewNode("p", datastore.MustOpenMemory(), primaryReg)
+	replica := cluster.NewNode("r", datastore.MustOpenMemory(), replicaReg)
+	ps, rs := httptest.NewServer(primary), httptest.NewServer(replica)
+	t.Cleanup(ps.Close)
+	t.Cleanup(rs.Close)
+	r, err := cluster.NewRouter(cluster.RouterOptions{
+		Groups: [][]string{{ps.URL, rs.URL}}, Registry: routerReg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	routed := r.C("materials")
+
+	seedMaterials(t, routed, 10)
+	if _, err := r.InsertMany("materials", []document.D{{"_id": "m-a", "band_gap": 1.0}, {"band_gap": 2.0}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.BulkWrite("materials", []datastore.BulkOp{
+		{Op: datastore.BulkInsert, Doc: document.D{"_id": "b-1", "band_gap": 3.0}},
+		{Op: datastore.BulkUpdateMany, Filter: document.D{"nelements": int64(1)}, Update: document.D{"$set": document.D{"bulk": true}}},
+		{Op: datastore.BulkDelete, Filter: document.D{"_id": "mat-009"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := routed.UpdateOne(document.D{"_id": "m-a"}, document.D{"$set": document.D{"one": true}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := routed.UpdateMany(document.D{"nelements": int64(2)}, document.D{"$inc": document.D{"band_gap": 1.0}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Remove("materials", document.D{"_id": "mat-000"}); err != nil {
+		t.Fatal(err)
+	}
+	r.EnsureOrderedIndex("materials", "band_gap")
+
+	writes := []string{wire.PathInsert, wire.PathInsertMany, wire.PathBulkWrite, wire.PathUpdate, wire.PathRemove, wire.PathEnsureIndex}
+	pSnap, rSnap := primaryReg.Snapshot(), replicaReg.Snapshot()
+	for _, path := range writes {
+		name := "node_op" + path + "_ms"
+		if n := rSnap.Histograms[name].Count; n != 0 {
+			t.Errorf("replica executed %d %s ops", n, path)
+		}
+		if pSnap.Histograms[name].Count == 0 {
+			t.Errorf("primary never executed %s", path)
+		}
+	}
+	if v := routerReg.Counter("cluster.replica_write_failures").Value(); v != 0 {
+		t.Errorf("replica_write_failures = %d, want 0", v)
+	}
+
+	ps0, rs0 := primary.Store(), replica.Store()
+	if g0, g1 := ps0.ReplGen(), rs0.ReplGen(); g0 != g1 || g0 == 0 {
+		t.Errorf("ReplGen: primary %d, replica %d", g0, g1)
+	}
+	if p, q := ps0.C("materials").Stats().Indexes, rs0.C("materials").Stats().Indexes; fmt.Sprint(p) != fmt.Sprint(q) || len(p) != 1 {
+		t.Errorf("indexes: primary %v, replica %v", p, q)
+	}
+	byID := &datastore.FindOpts{Sort: []string{"_id"}}
+	want, err := ps0.C("materials").FindAll(nil, byID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rs0.C("materials").FindAll(nil, byID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != 11 {
+		t.Fatalf("replica has %d docs, primary %d (want 11)", len(got), len(want))
+	}
+	for i := range want {
+		if !document.Equal(got[i], want[i]) {
+			t.Errorf("doc %d: replica %v, primary %v", i, got[i], want[i])
+		}
 	}
 }

@@ -210,11 +210,14 @@ type Result struct {
 }
 
 // CatchUp brings dst to src's state, shipping only entries past from
-// when possible. It loops pull→apply until dst reaches src's head,
-// falling back to snapshot+reset on 410 Gone or an unservable hole
-// (entries lost to dropped appends or a torn source tail). A batch the
-// follower reports torn is re-pulled from the follower's generation —
-// partial batches make progress, corrupt entries are never applied.
+// when possible. It loops pull→apply and returns as soon as an apply
+// brings dst to the head the last pull reported, falling back to
+// snapshot+reset on 410 Gone or an unservable hole (entries lost to
+// dropped appends or a torn source tail). A batch the follower reports
+// torn is re-pulled from the follower's generation — partial batches
+// make progress, corrupt entries are never applied. Entries dst already
+// holds (a concurrent ship got there first) are skipped by dst and
+// count as progress.
 func (c *Client) CatchUp(src, dst string, from uint64) (Result, error) {
 	var res Result
 	stalls := 0
@@ -253,23 +256,24 @@ func (c *Client) CatchUp(src, dst string, from uint64) (Result, error) {
 			return res, err
 		}
 		res.Shipped += ack.Applied
-		if ack.Applied == 0 && !ack.Torn {
-			return res, fmt.Errorf("replog: catch-up %s -> %s: follower made no progress at gen %d", src, dst, from)
+		res.Head = ack.Gen
+		if ack.Gen >= head {
+			return res, nil // caught up
 		}
-		if ack.Torn {
+		switch {
+		case ack.Gen > from:
+			stalls = 0
+		case !ack.Torn:
+			return res, fmt.Errorf("replog: catch-up %s -> %s: follower made no progress at gen %d", src, dst, from)
+		default:
 			// Wire corruption: the follower applied the good prefix and
 			// refused the rest. Re-pull from its position; give up
 			// after repeated zero-progress rounds.
-			if ack.Applied == 0 {
-				if stalls++; stalls >= 3 {
-					return res, fmt.Errorf("replog: catch-up %s -> %s: torn batches made no progress at gen %d", src, dst, from)
-				}
-			} else {
-				stalls = 0
+			if stalls++; stalls >= 3 {
+				return res, fmt.Errorf("replog: catch-up %s -> %s: torn batches made no progress at gen %d", src, dst, from)
 			}
 		}
 		from = ack.Gen
-		res.Head = from
 	}
 	return res, fmt.Errorf("replog: catch-up %s -> %s: did not converge within %d rounds", src, dst, c.maxRounds())
 }

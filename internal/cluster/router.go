@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,9 +92,12 @@ type member struct {
 	url     string
 	healthy bool
 	// applied is the member's last known replication generation, fed by
-	// heartbeat piggyback and write acks. Monotonic (CAS-max): acks can
-	// race, and a freshly restarted node re-reports via its probe.
+	// heartbeat piggyback, write acks and log ships. Monotonic (CAS-max):
+	// acks can race, and a freshly restarted node re-reports via its
+	// probe. known reports that a probe has reported it at least once,
+	// so a ship never starts from a guessed generation.
 	applied atomic.Uint64
+	known   atomic.Bool
 }
 
 // noteGen advances the member's known applied generation (never
@@ -129,9 +131,10 @@ type Router struct {
 	rc     *rcache.Cache
 	gens   shardGens
 
-	// repl drives log catch-up for re-admitted members. It talks to
-	// nodes with the plain HTTP client, not r.call: catch-up is control
-	// plane, so injected transport faults (and their counters) stay a
+	// repl ships log entries from a group's primary to its replicas,
+	// after every write and on re-admission. It talks to nodes with the
+	// plain HTTP client, not r.call: replication is control plane, so
+	// injected transport faults (and their counters) stay a
 	// request-plane concern.
 	repl *replog.Client
 
@@ -581,8 +584,8 @@ func (g *shardGens) sum(collection string) uint64 {
 }
 
 // bumpGen advances one shard's write generation for a collection. Writes
-// bump after the routed call returns — even on error, since a replicated
-// write can fail after some members already applied it.
+// bump after the routed call returns — even on error, since a write can
+// fail after the primary already applied it.
 func (r *Router) bumpGen(collection string, gi int) {
 	r.gens.slot(collection, gi).Add(1)
 }
@@ -626,9 +629,9 @@ func copyRoutedDocs(docs []document.D, cached bool) []document.D {
 // ---- Write path -----------------------------------------------------
 
 // place prepares a document for a routed insert: it normalizes a private
-// copy, mints a missing _id at the router so every group member stores
-// an identical document, and hashes the _id to its shard group. A
-// non-string _id is rejected with the standalone store's error.
+// copy, mints a missing _id at the router so the document the primary
+// journals (and ships) carries it, and hashes the _id to its shard group.
+// A non-string _id is rejected with the standalone store's error.
 func (r *Router) place(doc document.D) (document.D, int, error) {
 	d := document.NormalizeDoc(doc).Copy()
 	raw, has := d["_id"]
@@ -643,9 +646,8 @@ func (r *Router) place(doc document.D) (document.D, int, error) {
 	return d, hashShard(id, len(r.groups)), nil
 }
 
-// Insert routes a document to its shard group and replicates it to every
-// healthy member. The write succeeds when at least one member accepts
-// it; members that fail are marked down.
+// Insert routes a document to its shard group's primary; the group's
+// replicas receive it through the replication log.
 func (r *Router) Insert(collection string, doc document.D) (string, error) {
 	d, gi, err := r.place(doc)
 	if err != nil {
@@ -666,61 +668,104 @@ func (r *Router) Insert(collection string, doc document.D) (string, error) {
 	return d["_id"].(string), nil
 }
 
-// writeOnGroup replicates one write call across a group's healthy
-// members sequentially (synchronous replication). It succeeds when at
-// least one member accepted the write; members that fail are marked
-// down, promoting as needed. Remote op errors (e.g. a duplicate id)
-// abort the write. Partial replication — some member accepted, some
-// lagged — is not silent: it bumps cluster.replica_write_failures and
-// names the lagging members in the slow-op trace, since those members
-// now need log catch-up before they can serve bounded-staleness reads.
+// writeOnGroup runs one write call on a group's primary, then ships the
+// new log entries to every healthy replica. Replicas never execute
+// client ops, so generations and contents match on every member by
+// construction. An unreachable primary is marked down, a replica is
+// promoted and the call is retried once on it. Remote op errors (e.g. a
+// duplicate id) abort the write. The write succeeds once the primary
+// has applied it; a replica whose ship fails is marked down, bumps
+// cluster.replica_write_failures and is named in the slow-op trace,
+// since it now needs log catch-up before it can serve
+// bounded-staleness reads.
 func (r *Router) writeOnGroup(gi int, do func(m *member) error) error {
-	members := r.groups[gi].healthyMembers()
-	if len(members) == 0 {
-		return fmt.Errorf("%w: shard %d has no healthy members", queryengine.ErrUnavailable, gi)
-	}
-	groupStart := time.Now()
-	accepted := 0
-	var lagging []string
-	var lastErr error
-	for _, m := range members {
+	var err error
+	for attempt := 0; attempt < 2; attempt++ {
+		members := r.groups[gi].healthyMembers()
+		if len(members) == 0 {
+			break
+		}
 		start := time.Now()
-		err := do(m)
+		err = do(members[0])
 		r.reg.LatencyHistogram(fmt.Sprintf("cluster_shard%d_ms", gi)).ObserveDuration(time.Since(start))
 		if err == nil {
-			accepted++
-			continue
+			r.ship(gi, members[0], members[1:])
+			return nil
 		}
 		if !isMemberFailure(err) {
 			return err
 		}
-		lastErr = err
-		lagging = append(lagging, m.url)
-		r.markUnhealthy(gi, m)
+		r.markUnhealthy(gi, members[0])
 	}
-	if accepted == 0 {
-		return fmt.Errorf("%w: shard %d write failed on all members: %v", queryengine.ErrUnavailable, gi, lastErr)
+	if err == nil {
+		return fmt.Errorf("%w: shard %d has no healthy members", queryengine.ErrUnavailable, gi)
+	}
+	return fmt.Errorf("%w: shard %d write failed: %v", queryengine.ErrUnavailable, gi, err)
+}
+
+// ship brings each replica up to the primary's known generation by
+// pulling the missing entries from the primary and applying them on the
+// replica. A replica's generation is learned once from its health probe
+// before its first ship.
+func (r *Router) ship(gi int, primary *member, replicas []*member) {
+	start := time.Now()
+	head := primary.applied.Load()
+	var lagging []string
+	for _, m := range replicas {
+		if err := r.shipTo(primary, m, head); err != nil {
+			lagging = append(lagging, m.url)
+			r.markUnhealthy(gi, m)
+		}
 	}
 	if len(lagging) > 0 {
 		r.reg.Counter("cluster.replica_write_failures").Add(uint64(len(lagging)))
-		dur := time.Since(groupStart)
-		detail := strings.Join(lagging, ",")
-		r.tracer.Observe("cluster.replica_write", fmt.Sprintf("shard=%d accepted=%d lagging=%s", gi, accepted, detail), dur)
+		detail := fmt.Sprintf("shard=%d accepted=%d lagging=%s", gi, 1+len(replicas)-len(lagging), strings.Join(lagging, ","))
+		r.tracer.Observe("cluster.replica_write", detail, time.Since(start))
 	}
+}
+
+// shipTo catches one replica up to head from the primary. A ship that
+// had to take the snapshot copy counts in cluster.repl_snapshot_copies.
+func (r *Router) shipTo(primary, m *member, head uint64) error {
+	if !m.known.Load() {
+		ok, gen := r.probe(m)
+		if !ok {
+			return fmt.Errorf("cluster: probe %s before first ship failed", m.url)
+		}
+		m.noteGen(gen)
+		m.known.Store(true)
+	}
+	from := m.applied.Load()
+	if from >= head {
+		return nil
+	}
+	res, err := r.repl.CatchUp(primary.url, m.url, from)
+	if err != nil {
+		return fmt.Errorf("cluster: ship to %s: %w", m.url, err)
+	}
+	if res.Snapshot {
+		r.reg.Counter("cluster.repl_snapshot_copies").Inc()
+	}
+	m.noteGen(res.Head)
 	return nil
 }
 
 // EnsureOrderedIndex creates a secondary index over the given paths on
-// every member of every group (best effort on unhealthy members). It
-// fans over all groups — index definitions are cluster-wide metadata,
-// not shard-keyed data — and the per-node journal record makes each
-// member's copy durable. The write generation bumps so cached plans
-// (and $explain responses) refresh.
+// every group's primary, which ships the definition to its replicas like
+// any write (best effort: no error return). It fans over all groups —
+// index definitions are cluster-wide metadata, not shard-keyed data —
+// and the per-node journal record makes each member's copy durable. The
+// write generation bumps so cached plans (and $explain responses)
+// refresh.
 func (r *Router) EnsureOrderedIndex(collection string, paths ...string) {
 	for gi := range r.groups {
 		r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.OKResponse
-			return r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Paths: paths}, &resp)
+			if err := r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Paths: paths}, &resp); err != nil {
+				return err
+			}
+			m.noteGen(resp.Gen)
+			return nil
 		})
 		r.bumpGen(collection, gi)
 	}
@@ -776,46 +821,41 @@ func (r *Router) explain(collection string, filter document.D, opts *datastore.F
 	}, nil
 }
 
-// Remove deletes matching documents on every targeted group's members.
+// Remove deletes matching documents on every targeted group.
 func (r *Router) Remove(collection string, filter document.D) (int, error) {
 	targets, err := r.targets(filter)
 	if err != nil {
 		return 0, err
 	}
-	total := 0
-	var mu sync.Mutex
+	removed := make([]int, len(r.groups))
 	err = r.scatter(targets, func(gi int) error {
-		first := true
 		werr := r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.CountResponse
 			if err := r.call(m, wire.PathRemove, wire.RemoveRequest{Collection: collection, Filter: wireMap(filter)}, &resp); err != nil {
 				return err
 			}
 			m.noteGen(resp.Gen)
-			mu.Lock()
-			if first {
-				total += resp.N
-				first = false
-			}
-			mu.Unlock()
+			removed[gi] = resp.N
 			return nil
 		})
 		r.bumpGen(collection, gi)
 		return werr
 	})
+	total := 0
+	for _, n := range removed {
+		total += n
+	}
 	return total, err
 }
 
-// updateMany replicates an UpdateMany across the targeted groups.
+// updateMany runs an UpdateMany on every targeted group.
 func (r *Router) updateMany(collection string, filter, update document.D) (datastore.UpdateResult, error) {
 	targets, err := r.targets(filter)
 	if err != nil {
 		return datastore.UpdateResult{}, err
 	}
-	var res datastore.UpdateResult
-	var mu sync.Mutex
+	results := make([]datastore.UpdateResult, len(r.groups))
 	err = r.scatter(targets, func(gi int) error {
-		first := true
 		werr := r.writeOnGroup(gi, func(m *member) error {
 			var resp wire.UpdateResponse
 			req := wire.UpdateRequest{Collection: collection, Filter: wireMap(filter), Update: wireMap(update), Many: true}
@@ -823,28 +863,26 @@ func (r *Router) updateMany(collection string, filter, update document.D) (datas
 				return err
 			}
 			m.noteGen(resp.Gen)
-			mu.Lock()
-			if first {
-				res.Matched += resp.Matched
-				res.Modified += resp.Modified
-				first = false
-			}
-			mu.Unlock()
+			results[gi] = datastore.UpdateResult{Matched: resp.Matched, Modified: resp.Modified}
 			return nil
 		})
 		r.bumpGen(collection, gi)
 		return werr
 	})
+	var res datastore.UpdateResult
+	for _, g := range results {
+		res.Matched += g.Matched
+		res.Modified += g.Modified
+	}
 	return res, err
 }
 
 // updateOne updates exactly one matching document cluster-wide: it reads
-// one match to learn its _id, then replicates an UpdateMany pinned to
-// that _id so every replica modifies the same document.
+// one match to learn its _id, then runs an UpdateMany pinned to that _id
+// so exactly one group modifies exactly that document.
 func (r *Router) updateOne(collection string, filter, update document.D) (datastore.UpdateResult, error) {
 	// The pinning read bypasses the result cache: a read-modify-write
-	// cycle must see the shard's current state, not a cached snapshot,
-	// to preserve the ≥1-ack replication semantics.
+	// cycle must see the shard's current state, not a cached snapshot.
 	docs, err := r.findAllCached(collection, filter, &datastore.FindOpts{Limit: 1}, false)
 	if err != nil {
 		return datastore.UpdateResult{}, err
@@ -1041,60 +1079,6 @@ func (r *Router) aggregate(collection string, pipeline []document.D) ([]document
 	return datastore.RunPipeline(docs, rest)
 }
 
-// MapReduce runs a registered job across every shard and re-reduces the
-// partial results at the router (jobs must have associative reducers,
-// the same contract as datastore.MapReduce).
-func (r *Router) MapReduce(collection, jobName string, filter document.D) ([]document.D, error) {
-	job, ok := LookupJob(jobName)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown mapreduce job %q", jobName)
-	}
-	targets, err := r.targets(filter)
-	if err != nil {
-		return nil, err
-	}
-	partials := make([][]document.D, len(targets))
-	err = r.scatter(targets, func(gi int) error {
-		var resp wire.DocsResponse
-		req := wire.MapReduceRequest{Collection: collection, Job: jobName, Filter: wireMap(filter)}
-		if err := r.readOnGroup(gi, wire.PathMapReduce, req, &resp); err != nil {
-			return err
-		}
-		for slot, t := range targets {
-			if t == gi {
-				partials[slot] = resp.NormalizedDocs()
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Re-reduce: group partial values by key.
-	groups := make(map[string][]any)
-	var keys []string
-	for _, docs := range partials {
-		for _, d := range docs {
-			k, _ := d["_id"].(string)
-			if _, seen := groups[k]; !seen {
-				keys = append(keys, k)
-			}
-			groups[k] = append(groups[k], d["value"])
-		}
-	}
-	sort.Strings(keys)
-	out := make([]document.D, 0, len(keys))
-	for _, k := range keys {
-		vals := groups[k]
-		v := vals[0]
-		if len(vals) > 1 {
-			v = document.Normalize(job.Reduce(k, vals))
-		}
-		out = append(out, document.D{"_id": k, "value": v})
-	}
-	return out, nil
-}
-
 // wireMap converts a document to its wire form (nil stays nil).
 func wireMap(d document.D) map[string]any {
 	if d == nil {
@@ -1138,9 +1122,7 @@ func (r *Router) healthLoop(interval time.Duration) {
 // entries past its last applied generation from the group's current
 // head (falling back to a snapshot copy only when the log has rotated
 // past it) — and only then marked healthy. A member whose catch-up
-// fails stays down and is retried on the next sweep. Healthy members
-// whose known generation lags the group head are also topped up
-// (anti-entropy), closing the window partial write fan-outs open.
+// fails stays down and is retried on the next sweep.
 func (r *Router) CheckNow() int {
 	r.reg.Counter("cluster_health_checks_total").Inc()
 	healthy := 0
@@ -1171,8 +1153,9 @@ func (r *Router) checkGroupNow(gi int) int {
 			if !r.catchUp(gi, m, gen) {
 				ok = false
 			}
-		} else if ok && gen > 0 {
+		} else if ok {
 			m.noteGen(gen)
+			m.known.Store(true)
 		}
 		g.mu.Lock()
 		if ok {
@@ -1188,7 +1171,6 @@ func (r *Router) checkGroupNow(gi int) int {
 		r.promoteLocked(g)
 		g.mu.Unlock()
 	}
-	r.antiEntropy(gi)
 	return healthy
 }
 
@@ -1199,6 +1181,8 @@ func (r *Router) checkGroupNow(gi int) int {
 func (r *Router) catchUp(gi int, m *member, from uint64) bool {
 	src := r.catchUpSource(gi, m)
 	if src == nil {
+		m.noteGen(from)
+		m.known.Store(true)
 		return true
 	}
 	res, err := r.repl.CatchUp(src.url, m.url, from)
@@ -1212,6 +1196,7 @@ func (r *Router) catchUp(gi int, m *member, from uint64) bool {
 		r.reg.Counter("cluster.repl_snapshot_copies").Inc()
 	}
 	m.noteGen(res.Head)
+	m.known.Store(true)
 	return true
 }
 
@@ -1227,38 +1212,6 @@ func (r *Router) catchUpSource(gi int, dst *member) *member {
 		}
 	}
 	return nil
-}
-
-// antiEntropy tops up healthy members whose known applied generation
-// lags the group's known head — the residue of partial write fan-outs
-// (the member was briefly unreachable, the write succeeded elsewhere).
-func (r *Router) antiEntropy(gi int) {
-	members := r.groups[gi].healthyMembers()
-	if len(members) <= 1 {
-		return
-	}
-	var head uint64
-	var src *member
-	for _, m := range members {
-		if a := m.applied.Load(); a > head || src == nil {
-			head = a
-			src = m
-		}
-	}
-	for _, m := range members {
-		if m == src {
-			continue
-		}
-		if a := m.applied.Load(); a < head {
-			res, err := r.repl.CatchUp(src.url, m.url, a)
-			if err != nil {
-				r.reg.Counter("cluster.repl_catchup_failures").Inc()
-				continue
-			}
-			r.reg.Counter("cluster.repl_catchup_entries").Add(uint64(res.Shipped))
-			m.noteGen(res.Head)
-		}
-	}
 }
 
 // probe checks one member's health endpoint, reporting its applied

@@ -1,8 +1,8 @@
 // Package wire defines the JSON codecs of the cluster's internal node
 // transport: the request/response shapes a router exchanges with shard
 // nodes over HTTP. The protocol deliberately mirrors the datastore's
-// primitive surface (insert/find/count/update/remove/aggregate/distinct/
-// mapreduce) rather than the public Materials API, so the Fig. 4 URI
+// primitive surface (insert/find/count/update/remove/aggregate/distinct)
+// rather than the public Materials API, so the Fig. 4 URI
 // anatomy stays a router-only concern and nodes remain dumb storage.
 //
 // Number fidelity matters on this boundary: documents round-trip through
@@ -36,7 +36,6 @@ const (
 	PathRemove      = "/remove"
 	PathAggregate   = "/aggregate"
 	PathDistinct    = "/distinct"
-	PathMapReduce   = "/mapreduce"
 	PathEnsureIndex = "/ensureindex"
 	PathExplain     = "/explain"
 	PathHealth      = "/health"
@@ -305,15 +304,6 @@ type DistinctResponse struct {
 	Values []any `json:"values"`
 }
 
-// MapReduceRequest runs a registered named MapReduce job on a node's
-// shard of a collection. Jobs ship with the binary (Go functions cannot
-// cross the wire); the name selects one from the shared registry.
-type MapReduceRequest struct {
-	Collection string         `json:"collection"`
-	Job        string         `json:"job"`
-	Filter     map[string]any `json:"filter,omitempty"`
-}
-
 // EnsureIndexRequest creates a secondary index over the given dotted
 // paths on a node.
 type EnsureIndexRequest struct {
@@ -328,9 +318,11 @@ type ExplainRequest struct {
 	Opts       *FindOpts      `json:"opts,omitempty"`
 }
 
-// OKResponse acknowledges a side-effect-only request.
+// OKResponse acknowledges a side-effect-only request. Gen is the node's
+// replication generation after it (index creation is a logged write).
 type OKResponse struct {
-	OK bool `json:"ok"`
+	OK  bool   `json:"ok"`
+	Gen uint64 `json:"gen,omitempty"`
 }
 
 // HealthResponse is a node's GET /internal/v1/health report. AppliedGen

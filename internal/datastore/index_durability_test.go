@@ -164,6 +164,7 @@ func TestReplTailCarriesIndexDefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
+	src.EnableReplication(0)
 	lines, head, err := src.ReplTail(0, 100)
 	if err != nil {
 		t.Fatal(err)

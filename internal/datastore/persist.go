@@ -158,6 +158,7 @@ type commitTicket struct {
 // pendingFrame is one framed journal line awaiting its group commit.
 type pendingFrame struct {
 	line []byte // checksum-framed, newline-terminated
+	gen  uint64 // replication generation (0 on legacy lines)
 	t    *commitTicket
 }
 
@@ -302,21 +303,22 @@ func (j *journal) stage(rec journalRecord) *commitTicket {
 		}
 	}
 	t := &commitTicket{ch: make(chan struct{})}
-	j.pending = append(j.pending, pendingFrame{line: encodeLine(b), t: t})
+	j.pending = append(j.pending, pendingFrame{line: encodeLine(b), gen: rec.Gen, t: t})
 	return t
 }
 
 // stageRaw enqueues one pre-framed line (checksum prefix, no trailing
-// newline) exactly as received. Used when applying replicated entries:
-// the follower's journal carries the primary's bytes — same checksums,
-// same generations — so a re-opened follower replays to the same state.
-func (j *journal) stageRaw(line []byte) *commitTicket {
+// newline) of generation gen exactly as received. Used when applying
+// replicated entries: the follower's journal carries the primary's bytes
+// — same checksums, same generations — so a re-opened follower replays
+// to the same state.
+func (j *journal) stageRaw(line []byte, gen uint64) *commitTicket {
 	framed := make([]byte, 0, len(line)+1)
 	framed = append(framed, line...)
 	framed = append(framed, '\n')
 	t := &commitTicket{ch: make(chan struct{})}
 	j.qmu.Lock()
-	j.pending = append(j.pending, pendingFrame{line: framed, t: t})
+	j.pending = append(j.pending, pendingFrame{line: framed, gen: gen, t: t})
 	j.qmu.Unlock()
 	return t
 }
@@ -365,7 +367,9 @@ func (j *journal) drain() {
 // with a single fsync, and resolves every ticket with the outcome. Per
 // the sticky-error contract, once werr is set no later frame is written:
 // an acknowledged record must never survive a crash that lost an
-// earlier acknowledged one.
+// earlier acknowledged one. Once the fsync covers them, the written
+// frames settle into the replication ring in file order; a dropped or
+// failed frame leaves a hole.
 func (j *journal) writeBatch(batch []pendingFrame) {
 	j.mu.Lock()
 	if j.file == nil {
@@ -381,7 +385,10 @@ func (j *journal) writeBatch(batch []pendingFrame) {
 	}
 	start := time.Now()
 	wrote := 0
+	var written []replEntry
+	var upto uint64
 	for _, f := range batch {
+		upto = max(upto, f.gen)
 		if j.werr != nil {
 			break
 		}
@@ -403,6 +410,7 @@ func (j *journal) writeBatch(batch []pendingFrame) {
 			break
 		}
 		wrote++
+		written = append(written, replEntry{gen: f.gen, line: f.line[:len(f.line)-1]})
 	}
 	if j.werr == nil && wrote > 0 {
 		if err := j.w.Flush(); err != nil {
@@ -412,6 +420,12 @@ func (j *journal) writeBatch(batch []pendingFrame) {
 		}
 	}
 	err := j.werr
+	if j.repl != nil {
+		if err != nil {
+			written = nil
+		}
+		j.repl.settle(written, upto)
+	}
 	j.obs.Counter("datastore.journal.appends").Add(uint64(wrote))
 	j.obs.Counter("datastore.journal.commits").Inc()
 	if len(batch) > 1 {
@@ -747,9 +761,43 @@ func (j *journal) snapshot(s *Store) error {
 	if j.repl != nil {
 		// Generations at or below head now live only in the snapshot;
 		// log pulls from below must fall back to a snapshot copy.
-		j.repl.setBase(head)
+		j.repl.observeBase(head)
 	}
 	return nil
+}
+
+// seedRing loads the journal's records into the replication ring, so a
+// reopened durable store still serves incremental catch-up for what it
+// journaled since its last snapshot. It reads under j.mu, so no batch can
+// reach the file (or the ring) mid-scan. Reading stops at the first bad
+// line; pullers behind a short ring take the snapshot copy.
+func (j *journal) seedRing() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	f, err := os.Open(journalPath(j.dir))
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 1<<20)
+	for {
+		raw, rerr := r.ReadBytes('\n')
+		data := bytes.TrimSuffix(raw, []byte("\n"))
+		payload, derr := decodeLine(data)
+		var rec journalRecord
+		if derr == nil {
+			derr = json.Unmarshal(payload, &rec)
+		}
+		if derr != nil {
+			break
+		}
+		// One entry at a time: the ring stays bounded however long the
+		// journal is.
+		j.repl.settle([]replEntry{{gen: rec.Gen, line: data}}, 0)
+		if rerr != nil {
+			break
+		}
+	}
 }
 
 // snapshotCollection encodes every document of c into w under the

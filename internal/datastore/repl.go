@@ -7,23 +7,26 @@ package datastore
 // the same bytes to its own journal — one checksum protects the record
 // from the primary's disk to the follower's.
 //
-// Two store flavors share the bookkeeping:
+// Pulls are served from a bounded in-memory ring of framed lines, turned
+// on by EnableReplication for both store flavors:
 //
-//   - Durable stores tail the journal file itself. The snapshot meta
+//   - Memory stores record each mutation into the ring as it applies.
+//   - Durable stores add each frame after the fsync that covers it, in
+//     file order, so a dropped append stays a hole. The snapshot meta
 //     record tracks the log floor ("base"): generations at or below it
 //     have been folded into the snapshot and are only available via a
 //     full state copy (ErrReplGap).
-//   - Memory stores (cluster tests, ephemeral nodes) keep a bounded
-//     in-memory ring of framed lines, enabled via EnableReplication;
-//     eviction moves the floor just like snapshot rotation does.
+//
+// Eviction from the ring moves the floor just like snapshot rotation
+// does, so a follower behind the ring's oldest entry gets the snapshot
+// copy.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"sort"
 	"sync"
 
 	"matproj/internal/document"
@@ -34,20 +37,22 @@ import (
 // fall back to a full state copy (ReplSnapshot + ReplReset).
 var ErrReplGap = errors.New("datastore: replication gap: generation rotated out of the log")
 
-// DefaultReplRingCapacity bounds the in-memory replication ring when
+// DefaultReplRingCapacity bounds the replication ring when
 // EnableReplication is called with a non-positive capacity.
-const DefaultReplRingCapacity = 16384
+const DefaultReplRingCapacity = 4096
 
 // replState is the store-wide replication bookkeeping: the last minted/
-// applied generation, the log floor, and (memory stores only) the entry
-// ring. Its mutex is leaf-level: nothing is called while it is held.
+// applied generation, the last generation settled into the log, the log
+// floor, and the entry ring. Its mutex is leaf-level: nothing is called
+// while it is held.
 type replState struct {
 	mu      sync.Mutex
-	enabled bool // ring recording on (memory stores)
-	seq     uint64
+	enabled bool   // ring recording on
+	seq     uint64 // last minted/applied generation
+	head    uint64 // last generation settled into the log (durable: fsynced)
 	base    uint64
 	cap     int
-	ring    []replEntry
+	ring    []replEntry // ascending generations
 }
 
 type replEntry struct {
@@ -79,24 +84,23 @@ func (rs *replState) observe(gen uint64) {
 	rs.mu.Unlock()
 }
 
-// observeBase advances the log floor (and seq) to at least gen.
+// observeBase advances the log floor (and seq) to at least gen, dropping
+// the ring entries the floor now covers.
 func (rs *replState) observeBase(gen uint64) {
 	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	if gen > rs.base {
 		rs.base = gen
 	}
 	if gen > rs.seq {
 		rs.seq = gen
 	}
-	rs.mu.Unlock()
+	for len(rs.ring) > 0 && rs.ring[0].gen <= rs.base {
+		rs.dropOldestLocked()
+	}
 }
 
-// setBase moves the floor after a snapshot rotation.
-func (rs *replState) setBase(gen uint64) {
-	rs.observeBase(gen)
-}
-
-// enable turns on ring recording (memory stores).
+// enable turns on ring recording.
 func (rs *replState) enable(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultReplRingCapacity
@@ -116,8 +120,8 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 	return bytes.TrimSuffix(encodeLine(b), []byte("\n")), nil
 }
 
-// record mints a generation for one local mutation and stores its framed
-// line in the ring. No-op unless enabled.
+// record mints a generation for one local mutation of a memory store and
+// stores its framed line in the ring. No-op unless enabled.
 func (rs *replState) record(coll string, op journalOp, id string, doc document.D) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -133,6 +137,7 @@ func (rs *replState) record(coll string, op journalOp, id string, doc document.D
 		raw = b
 	}
 	rs.seq++
+	rs.head = rs.seq
 	line, err := frameRecord(journalRecord{Op: op, Collection: coll, ID: id, Doc: raw, Gen: rs.seq})
 	if err != nil {
 		// The generation stays burned; the hole forces followers to a
@@ -142,55 +147,75 @@ func (rs *replState) record(coll string, op journalOp, id string, doc document.D
 	rs.appendRingLocked(rs.seq, line)
 }
 
-// recordRaw stores an already-framed replicated line in the ring so a
-// caught-up memory follower can itself serve as a catch-up source.
-func (rs *replState) recordRaw(gen uint64, line []byte) {
+// settle publishes entries that reached the log, in log order, and
+// advances head to upto: every generation up to it is either in the ring
+// or a hole (a dropped append) that pullers detect and heal with the
+// snapshot copy. Ring entries are kept only when recording is enabled.
+func (rs *replState) settle(entries []replEntry, upto uint64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if !rs.enabled {
-		return
+	if rs.enabled {
+		for _, e := range entries {
+			rs.appendRingLocked(e.gen, e.line)
+		}
 	}
-	rs.appendRingLocked(gen, line)
+	if upto > rs.head {
+		rs.head = upto
+	}
 }
 
+// appendRingLocked adds one entry, evicting the oldest past capacity.
+// Legacy (generation 0) and out-of-order lines are not servable and are
+// skipped, so the ring stays sorted for tail's binary search.
 func (rs *replState) appendRingLocked(gen uint64, line []byte) {
+	if n := len(rs.ring); gen == 0 || gen <= rs.base || (n > 0 && gen <= rs.ring[n-1].gen) {
+		return
+	}
 	rs.ring = append(rs.ring, replEntry{gen: gen, line: line})
 	for len(rs.ring) > rs.cap {
 		rs.base = rs.ring[0].gen
-		rs.ring = rs.ring[1:]
+		rs.dropOldestLocked()
 	}
 }
 
-// tail returns up to max framed ring entries with generation > from.
-func (rs *replState) tail(from uint64, max int) ([][]byte, error) {
+// dropOldestLocked removes the oldest ring entry. Its line is released
+// at once: the backing array keeps the slot until append reallocates.
+func (rs *replState) dropOldestLocked() {
+	rs.ring[0].line = nil
+	rs.ring = rs.ring[1:]
+}
+
+// tail returns up to max framed ring entries with generation > from,
+// plus head, in time proportional to the entries returned.
+func (rs *replState) tail(from uint64, max int) ([][]byte, uint64, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if from < rs.base {
-		return nil, fmt.Errorf("%w: from=%d base=%d", ErrReplGap, from, rs.base)
+		return nil, rs.head, fmt.Errorf("%w: from=%d base=%d", ErrReplGap, from, rs.base)
 	}
-	var out [][]byte
-	for _, e := range rs.ring {
-		if e.gen <= from {
-			continue
-		}
-		out = append(out, e.line)
-		if max > 0 && len(out) >= max {
-			break
-		}
+	i := sort.Search(len(rs.ring), func(i int) bool { return rs.ring[i].gen > from })
+	n := len(rs.ring) - i
+	if max > 0 && n > max {
+		n = max
 	}
-	return out, nil
+	out := make([][]byte, n)
+	for k := range out {
+		out[k] = rs.ring[i+k].line
+	}
+	return out, rs.head, nil
 }
 
-// EnableReplication turns the store into a replication log source/sink.
-// Durable stores always mint generations (the journal is the log); this
-// call additionally equips memory stores with a bounded in-memory ring
-// of the most recent capacity entries (<=0 selects the default). Safe to
-// call once before traffic.
+// EnableReplication turns the store into a replication log source/sink:
+// it equips the store with a bounded ring of the most recent capacity
+// log entries (<=0 selects the default), which ReplTail serves. A durable
+// store seeds the ring from its journal, so after a restart it still
+// serves what it journaled since its last snapshot. Call once before
+// traffic.
 func (s *Store) EnableReplication(capacity int) {
-	if s.journal.Load() != nil {
-		return // journal-backed: log already live
-	}
 	s.repl.enable(capacity)
+	if j := s.journal.Load(); j != nil {
+		j.seedRing()
+	}
 }
 
 // ReplGen reports the store's last minted/applied replication generation.
@@ -199,86 +224,46 @@ func (s *Store) ReplGen() uint64 {
 }
 
 // ReplTail returns up to max framed log lines with generation > from,
-// plus the current head generation. Lines are CRC-framed exactly as
-// journaled ("%08x <json>", no newline) — the caller ships the bytes
-// verbatim and the follower re-verifies the checksum before applying.
-// A torn journal tail silently ends the batch (the good prefix is
-// served); ErrReplGap means from has rotated out of the log.
+// plus the head generation: the last one settled into the log (on a
+// durable store, a write whose batch has not been fsynced yet is not).
+// Lines are CRC-framed exactly as journaled ("%08x <json>", no newline)
+// — the caller ships the bytes verbatim and the follower re-verifies the
+// checksum before applying. Lines come from the ring EnableReplication
+// turns on; ErrReplGap means from is older than the ring's oldest entry
+// or the last snapshot.
 func (s *Store) ReplTail(from uint64, max int) ([][]byte, uint64, error) {
-	head := s.repl.current()
-	j := s.journal.Load()
-	if j == nil {
-		lines, err := s.repl.tail(from, max)
-		return lines, head, err
-	}
-	// Durable path: check the floor, then scan the journal file. The
-	// group-commit path flushes per batch, so the file may trail head by
-	// at most the in-flight batch; a line being written concurrently
-	// fails its checksum and ends the scan (the caller simply pulls
-	// again).
-	s.repl.mu.Lock()
-	base := s.repl.base
-	s.repl.mu.Unlock()
-	if from < base {
-		return nil, head, fmt.Errorf("%w: from=%d base=%d", ErrReplGap, from, base)
-	}
-	f, err := os.Open(journalPath(j.dir))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, head, nil
-		}
-		return nil, head, fmt.Errorf("datastore: repl tail: %w", err)
-	}
-	defer f.Close()
-	var out [][]byte
-	r := bufio.NewReaderSize(f, 1<<20)
-	for {
-		raw, rerr := r.ReadBytes('\n')
-		data := bytes.TrimSuffix(raw, []byte("\n"))
-		if len(data) > 0 {
-			payload, derr := decodeLine(data)
-			var rec journalRecord
-			if derr == nil {
-				derr = json.Unmarshal(payload, &rec)
-			}
-			if derr != nil {
-				break // torn tail (or mid-append): serve the good prefix
-			}
-			if rec.Op != journalMeta && rec.Gen > from {
-				line := make([]byte, len(data))
-				copy(line, data)
-				out = append(out, line)
-				if max > 0 && len(out) >= max {
-					break
-				}
-			}
-		}
-		if rerr != nil {
-			break
-		}
-	}
-	return out, head, nil
+	return s.repl.tail(from, max)
 }
 
 // ApplyReplEntries verifies and applies framed log lines shipped from a
 // peer, journaling each locally. It applies the longest good prefix: a
 // line failing its checksum or decode stops the batch and reports
 // torn=true, and the caller re-pulls from the returned generation —
-// truncate-and-resync, never apply a corrupt entry. Returns the number
-// of lines applied and the store's resulting generation.
+// truncate-and-resync, never apply a corrupt entry. Lines at or below
+// the store's generation are already applied and are skipped, so
+// overlapping batches (concurrent ships of the same entries) are
+// harmless; batches apply one at a time. Legacy lines without a
+// generation always apply. Returns the number of lines applied and the
+// store's resulting generation.
 func (s *Store) ApplyReplEntries(lines [][]byte) (applied int, gen uint64, torn bool, err error) {
 	j := s.journal.Load()
-	// Replicated lines are staged as they apply and committed once at
-	// the end of the batch — the whole shipment rides one group fsync.
-	var last *commitTicket
-	finish := func(applied int, torn bool, err error) (int, uint64, bool, error) {
-		if j != nil {
-			if cerr := j.commit(last); cerr != nil && err == nil {
-				err = fmt.Errorf("datastore: repl apply journal: %w", cerr)
-			}
+	applied, last, torn, err := s.stageReplEntries(j, lines)
+	// The whole shipment rides one group fsync, awaited after the apply
+	// lock is released.
+	if j != nil {
+		if cerr := j.commit(last); cerr != nil && err == nil {
+			err = fmt.Errorf("datastore: repl apply journal: %w", cerr)
 		}
-		return applied, s.repl.current(), torn, err
 	}
+	return applied, s.repl.current(), torn, err
+}
+
+// stageReplEntries applies the longest good prefix of lines under the
+// apply lock, staging each applied line on the journal (j may be nil),
+// and returns the last staged ticket.
+func (s *Store) stageReplEntries(j *journal, lines [][]byte) (applied int, last *commitTicket, torn bool, err error) {
+	s.replApplyMu.Lock()
+	defer s.replApplyMu.Unlock()
 	for _, line := range lines {
 		payload, derr := decodeLine(line)
 		var rec journalRecord
@@ -286,22 +271,22 @@ func (s *Store) ApplyReplEntries(lines [][]byte) (applied int, gen uint64, torn 
 			derr = json.Unmarshal(payload, &rec)
 		}
 		if derr != nil {
-			return finish(applied, true, nil)
+			return applied, last, true, nil
 		}
-		if rec.Op == journalMeta {
+		if rec.Op == journalMeta || (rec.Gen != 0 && rec.Gen <= s.repl.current()) {
 			continue
 		}
 		if aerr := applyRecord(s, rec); aerr != nil {
-			return finish(applied, false, fmt.Errorf("datastore: repl apply: %w", aerr))
+			return applied, last, false, fmt.Errorf("datastore: repl apply: %w", aerr)
 		}
 		if j != nil {
-			last = j.stageRaw(line)
+			last = j.stageRaw(line, rec.Gen)
 		} else {
-			s.repl.recordRaw(rec.Gen, line)
+			s.repl.settle([]replEntry{{gen: rec.Gen, line: line}}, rec.Gen)
 		}
 		applied++
 	}
-	return finish(applied, false, nil)
+	return applied, last, false, nil
 }
 
 // ReplSnapshotEntries serializes the store's full current state as
@@ -356,6 +341,8 @@ func (s *Store) ReplSnapshotEntries() ([][]byte, uint64, error) {
 // stores immediately rewrite their on-disk snapshot (and truncate the
 // journal) so a restart replays the new state, not the pre-reset one.
 func (s *Store) ReplReset(lines [][]byte, upto uint64) error {
+	s.replApplyMu.Lock()
+	defer s.replApplyMu.Unlock()
 	s.mu.Lock()
 	s.collections = make(map[string]*Collection)
 	s.mu.Unlock()
@@ -377,6 +364,7 @@ func (s *Store) ReplReset(lines [][]byte, upto uint64) error {
 	}
 	s.repl.mu.Lock()
 	s.repl.seq = upto
+	s.repl.head = upto
 	s.repl.base = upto
 	s.repl.ring = nil
 	s.repl.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"matproj/internal/document"
@@ -72,6 +73,7 @@ func TestReplSnapshotSetsBaseAndGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.EnableReplication(0)
 	insertN(t, s, "m", 4, 0)
 	head := s.ReplGen()
 	if err := s.Snapshot(); err != nil {
@@ -115,6 +117,7 @@ func TestReplBaseSurvivesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	s2.EnableReplication(0)
 	if g := s2.ReplGen(); g != want {
 		t.Fatalf("replayed gen %d, want %d", g, want)
 	}
@@ -135,6 +138,7 @@ func TestReplTailAndApplyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
+	src.EnableReplication(0)
 	insertN(t, src, "m", 6, 0)
 	if _, err := src.C("m").UpdateMany(document.D{"_id": "d2"}, document.D{"$set": document.D{"n": 99}}); err != nil {
 		t.Fatal(err)
@@ -182,6 +186,7 @@ func TestReplApplyTornBatchAppliesGoodPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
+	src.EnableReplication(0)
 	insertN(t, src, "m", 5, 0)
 	lines, _, err := src.ReplTail(0, 100)
 	if err != nil {
@@ -317,6 +322,7 @@ func TestReplTailLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.EnableReplication(0)
 	insertN(t, s, "m", 10, 0)
 	lines, head, err := s.ReplTail(0, 3)
 	if err != nil || len(lines) != 3 {
@@ -324,5 +330,70 @@ func TestReplTailLimit(t *testing.T) {
 	}
 	if head != 10 {
 		t.Fatalf("head %d, want 10 (full head even when limited)", head)
+	}
+}
+
+// TestConcurrentOverlappingApplyConverges ships two overlapping batches
+// of the same log to one follower at once — as two routed writes'
+// ships do — on both store flavors. Entries the other batch applied
+// first are skipped, so the follower ends with the source's documents
+// and generation whichever batch wins.
+func TestConcurrentOverlappingApplyConverges(t *testing.T) {
+	src := MustOpenMemory()
+	src.EnableReplication(0)
+	insertN(t, src, "m", 30, 0)
+	if _, err := src.C("m").UpdateMany(document.D{"n": document.D{"$lt": 10}}, document.D{"$inc": document.D{"n": 100}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.C("m").Remove(document.D{"_id": "d20"}); err != nil {
+		t.Fatal(err)
+	}
+	lines, head, err := src.ReplTail(0, 0)
+	if err != nil || uint64(len(lines)) != head {
+		t.Fatalf("tail: %d lines, head %d, err %v", len(lines), head, err)
+	}
+	want, err := src.C("m").FindAll(nil, &FindOpts{Sort: []string{"_id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		dir := ""
+		if round%2 == 1 {
+			dir = t.TempDir()
+		}
+		dst, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.EnableReplication(0)
+		var wg sync.WaitGroup
+		for _, batch := range [][][]byte{lines[:len(lines)*2/3], lines} {
+			wg.Add(1)
+			go func(batch [][]byte) {
+				defer wg.Done()
+				if _, _, torn, err := dst.ApplyReplEntries(batch); err != nil || torn {
+					t.Errorf("apply: torn %v err %v", torn, err)
+				}
+			}(batch)
+		}
+		wg.Wait()
+		if g := dst.ReplGen(); g != head {
+			t.Fatalf("round %d: follower gen %d, want %d", round, g, head)
+		}
+		got, err := dst.C("m").FindAll(nil, &FindOpts{Sort: []string{"_id"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: follower has %d docs, source %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if !document.Equal(got[i], want[i]) {
+				t.Fatalf("round %d: doc %d: follower %v, source %v", round, i, got[i], want[i])
+			}
+		}
+		if err := dst.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -37,10 +37,12 @@ type Store struct {
 	// close a lock cycle with Stats (s.mu → c.mu).
 	journal atomic.Pointer[journal]
 
-	// repl tracks replication generations (and, for memory stores with
-	// replication enabled, a bounded ring of framed log entries). It has
-	// its own mutex; see repl.go.
-	repl replState
+	// repl tracks replication generations and, once replication is
+	// enabled, a bounded ring of framed log entries. It has its own
+	// mutex; see repl.go. replApplyMu makes each shipped batch apply as
+	// a unit.
+	repl        replState
+	replApplyMu sync.Mutex
 
 	// Live observability (nil when not wired): every profiled operation
 	// also lands in the registry, and slow ops in the tracer's log.
@@ -74,7 +76,8 @@ func Open(dir string) (*Store, error) {
 		}
 		// Durable stores always mint generations: the journal is the
 		// replication log. Replay restored seq/base from the records
-		// (and snapshot meta) already on disk.
+		// (and snapshot meta) already on disk, all of it settled.
+		s.repl.settle(nil, s.repl.current())
 		j.repl = &s.repl
 		s.journal.Store(j)
 		s.recovery = stats

@@ -51,6 +51,13 @@ go test -race ./...
 echo "stress pass (-race -count=2: cluster, fireworks, rcache, queryengine)..."
 go test -race -count=2 ./internal/cluster/ ./internal/fireworks/ ./internal/rcache/ ./internal/queryengine/
 
+# Replication race pass: the staleness-bound hammer and the
+# sweep-during-write regression, 100 times each without -race (about
+# 0.1 s a run). A write the primary applied must never come back as an
+# error, and no follower read may be staler than its bound.
+echo "replication race pass (-count=100)..."
+go test -count=100 -run 'TestFollowerReadsRespectStalenessBound|TestSweepDuringWriteKeepsAppliedWrite' ./internal/cluster/
+
 # Planner correctness oracle: >=1200 seeded corpus/query pairs where the
 # planner-chosen execution must match a naive scan-then-sort twin
 # exactly (ids, order, projections, counts). Runs under -race because
@@ -65,6 +72,7 @@ go test ./internal/query/ -run '^$' -fuzz '^FuzzFilterCompileMatch$' -fuzztime "
 go test ./internal/query/ -run '^$' -fuzz '^FuzzUpdateApply$' -fuzztime "$FUZZTIME"
 go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentPath$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzKeyEncodingOrder$' -fuzztime "$FUZZTIME"
+go test ./internal/cluster/wire/ -run '^$' -fuzz '^FuzzDecodeJSONBytes$' -fuzztime "$FUZZTIME"
 
 # Cluster e2e smoke: two real shard-node processes, a router process that
 # loads the corpus over the wire, and a routed query through the public
