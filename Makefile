@@ -32,3 +32,5 @@ fuzz:
 	go test ./internal/query/ -run '^$$' -fuzz '^FuzzFilterCompileMatch$$' -fuzztime 60s
 	go test ./internal/query/ -run '^$$' -fuzz '^FuzzUpdateApply$$' -fuzztime 60s
 	go test ./internal/document/ -run '^$$' -fuzz '^FuzzDocumentPath$$' -fuzztime 60s
+	go test ./internal/datastore/ -run '^$$' -fuzz '^FuzzKeyEncodingOrder$$' -fuzztime 60s
+	go test ./internal/cluster/wire/ -run '^$$' -fuzz '^FuzzDecodeJSONBytes$$' -fuzztime 60s

@@ -4,14 +4,16 @@
 //
 // Exit-code contract (scripts/check.sh relies on it):
 //
-//	0 — every selected analyzer came back clean
-//	1 — at least one finding (printed one per line, or -json)
+//	0 — every analyzer came back clean
+//	1 — at least one finding (printed one per line)
 //	2 — usage error, load failure, or a package that does not type-check
 //
 // Usage:
 //
-//	mplint [-json] [-only a,b] [-skip a,b] [-baseline file.json]
-//	       [-graph] [-summaries] [-ignored] [-list] [-C dir] [patterns]
+//	mplint [-list] [-C dir] [patterns]
+//
+// -list prints the analyzers and exits. -C names the module root
+// (default: the nearest go.mod above the working directory).
 //
 // Patterns are module-relative ("./...", "internal/cluster",
 // "./internal/..."); the default is the whole module. The
@@ -19,20 +21,12 @@
 // held-lock summaries) is always built over the whole module, so
 // findings in a filtered run still see cross-package facts; patterns
 // only restrict which packages are reported on.
-//
-// -graph and -summaries dump the interprocedural layer itself (the
-// lock-acquisition graph and the per-function summaries) for debugging
-// analyzer findings. -ignored lists every //lint:ignore directive with
-// its reason. -baseline suppresses findings recorded in a previous
-// -json run (matched by analyzer, file, and message — line numbers may
-// drift), so a tree with accepted findings can still gate on new ones.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,28 +38,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiag is the -json output record and the -baseline input record.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit findings as a JSON array")
-		only      = fs.String("only", "", "comma-separated analyzers to run (default: all)")
-		skip      = fs.String("skip", "", "comma-separated analyzers to skip")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		graph     = fs.Bool("graph", false, "dump the global lock-acquisition graph and exit")
-		summaries = fs.Bool("summaries", false, "dump per-function interprocedural summaries and exit")
-		ignored   = fs.Bool("ignored", false, "list //lint:ignore suppressions with reasons and exit (respects -only)")
-		baseline  = fs.String("baseline", "", "JSON findings file (from a prior -json run) to suppress")
-		chdir     = fs.String("C", "", "module root (default: nearest go.mod above the working directory)")
+		list  = fs.Bool("list", false, "list analyzers and exit")
+		chdir = fs.String("C", "", "module root (default: nearest go.mod above the working directory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -78,14 +56,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		return 0
 	}
-	selected, err := lint.Select(analyzers, splitList(*only), splitList(*skip))
-	if err != nil {
-		fmt.Fprintln(stderr, "mplint:", err)
-		return 2
-	}
 
 	root := *chdir
 	if root == "" {
+		var err error
 		root, err = findModuleRoot()
 		if err != nil {
 			fmt.Fprintln(stderr, "mplint:", err)
@@ -102,7 +76,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "mplint:", err)
 		return 2
 	}
-	cfg := lint.DefaultConfig(loader.ModulePath)
+	cfg := &lint.Config{ModulePath: loader.ModulePath}
 	pkgs := filterPackages(all, cfg, fs.Args())
 
 	broken := false
@@ -119,77 +93,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	// The fact base spans the whole module regardless of the report
 	// filter: a goroutine in a filtered-out package may close a channel
 	// a reported package drains, and vice versa.
-	prog := lint.NewProgram(all, cfg)
-
-	if *graph {
-		for _, e := range prog.LockEdges() {
-			fmt.Fprintf(stdout, "%s -> %s  at %s (%s)\n", e.From, e.To, relPos(root, e.Witness), e.Func)
-		}
-		return 0
-	}
-	if *summaries {
-		for _, s := range prog.Summaries() {
-			line := s.Func
-			if len(s.Acquires) > 0 {
-				line += "  acquires=" + strings.Join(s.Acquires, ",")
-			}
-			if s.Forever {
-				line += "  forever"
-			}
-			fmt.Fprintln(stdout, line)
-		}
-		return 0
-	}
-	if *ignored {
-		onlySet := map[string]bool{}
-		for _, n := range splitList(*only) {
-			onlySet[n] = true
-		}
-		n := 0
-		for _, p := range pkgs {
-			for _, ig := range lint.Ignores(p) {
-				if len(onlySet) > 0 && !ignoreMatches(ig, onlySet) {
-					continue
-				}
-				scope := strings.Join(ig.Analyzers, ",")
-				if ig.WholeFile {
-					scope += " (whole file)"
-				}
-				reason := ig.Reason
-				if reason == "" {
-					reason = "<no reason given>"
-				}
-				fmt.Fprintf(stdout, "%s: %s: %s\n", relPos(root, ig.Pos), scope, reason)
-				n++
-			}
-		}
-		fmt.Fprintf(stderr, "mplint: %d suppression(s)\n", n)
-		return 0
-	}
-
-	diags := lint.RunProgram(prog, pkgs, selected)
-	if *baseline != "" {
-		diags, err = applyBaseline(root, *baseline, diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "mplint:", err)
-			return 2
-		}
-	}
-	if *jsonOut {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{d.Analyzer, relFile(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(stderr, "mplint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, relDiag(root, d))
-		}
+	diags := lint.RunProgram(lint.NewProgram(all, cfg), pkgs, analyzers)
+	for _, d := range diags {
+		fmt.Fprintln(stdout, relDiag(root, d))
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "mplint: %d finding(s)\n", len(diags))
@@ -198,73 +104,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// ignoreMatches reports whether a suppression covers any analyzer in
-// the -only set. A whole-file or analyzer-less directive covers all.
-func ignoreMatches(ig lint.Ignore, onlySet map[string]bool) bool {
-	if len(ig.Analyzers) == 0 {
-		return true
-	}
-	for _, a := range ig.Analyzers {
-		if onlySet[a] {
-			return true
-		}
-	}
-	return false
-}
-
-// applyBaseline drops findings recorded in a prior -json run. Matching
-// is by analyzer, module-relative file, and message — not line — so an
-// accepted finding stays accepted when unrelated edits shift it.
-func applyBaseline(root, path string, diags []lint.Diagnostic) ([]lint.Diagnostic, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var old []jsonDiag
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	accepted := make(map[string]bool, len(old))
-	for _, d := range old {
-		accepted[d.Analyzer+"\x00"+filepath.ToSlash(d.File)+"\x00"+d.Message] = true
-	}
-	var out []lint.Diagnostic
-	for _, d := range diags {
-		key := d.Analyzer + "\x00" + filepath.ToSlash(relFile(root, d.Pos.Filename)) + "\x00" + d.Message
-		if accepted[key] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-func relFile(root, file string) string {
-	if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
-		return r
-	}
-	return file
-}
-
-func relPos(root string, p token.Position) string {
-	return fmt.Sprintf("%s:%d:%d", relFile(root, p.Filename), p.Line, p.Column)
-}
-
 func relDiag(root string, d lint.Diagnostic) string {
-	return fmt.Sprintf("%s:%d:%d: %s (%s)", relFile(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
+	file := d.Pos.Filename
+	if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
+		file = r
 	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return fmt.Sprintf("%s:%d:%d: %s (%s)", file, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
 func findModuleRoot() (string, error) {

@@ -34,9 +34,11 @@ var mutatingDocMethods = map[string]bool{
 	"Set": true, "Unset": true, "Merge": true,
 }
 
+// aliasScope lists where docaliasing applies.
+var aliasScope = []string{"internal"}
+
 func runDocAliasing(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.AliasScope) {
+	if !p.inScope(aliasScope) {
 		return
 	}
 	docPkg := p.Cfg.ModulePath + "/internal/document"

@@ -6,96 +6,39 @@ import (
 	"go/types"
 )
 
-// AtomicMix enforces the all-or-nothing rule for sync/atomic: a field
-// (or package var) whose address is handed to an atomic function
-// anywhere in the program must never be read or written plainly
-// elsewhere — the plain access races with the atomic one, and the race
-// detector only catches the schedules it happens to see. The check is
-// interprocedural by construction: the atomic-use index spans every
-// package, the plain accesses are reported wherever they occur.
+// AtomicMix enforces the all-or-nothing rule for atomics through the
+// type system: no sync/atomic package function (atomic.AddInt64(&x, 1)
+// style) is used in scope. Every atomic value is a typed atomic
+// (atomic.Int64, atomic.Uint64, atomic.Bool, atomic.Pointer, …), whose
+// only accessors are atomic, so a plain access that races with an
+// atomic one does not compile.
 //
-// A second rule catches the subtler time-of-check bug the typed
-// atomics (atomic.Uint64 and friends) still allow: loading the same
-// atomic twice inside one decision (the if's init/cond and again in
-// its body), where the value may have moved between loads. Reuse the
-// first load.
+// A second rule catches the time-of-check bug the typed atomics still
+// allow: loading the same atomic twice inside one decision (the if's
+// init/cond and again in its body), where the value may have moved
+// between loads. Reuse the first load.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
-	Doc:  "a field accessed via sync/atomic must never be accessed plainly; one decision gets one load",
+	Doc:  "atomics must be typed (no sync/atomic package functions); one decision gets one load",
 	Run:  runAtomicMix,
 }
 
+// atomicScope lists where atomicmix applies.
+var atomicScope = []string{"internal"}
+
 func runAtomicMix(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.AtomicScope) {
+	if !p.inScope(atomicScope) {
 		return
 	}
-	prog := p.Prog
-	prog.ensure()
-	if len(prog.atomicFn) > 0 {
-		checkPlainAccess(p, prog)
+	for id, obj := range p.Pkg.Info.Uses {
+		fn, ok := obj.(*types.Func)
+		if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && recvType(fn) == nil {
+			p.Reportf(id.Pos(),
+				"sync/atomic.%s operates on a plain variable that other code can still read or write plainly; declare it as a typed atomic (atomic.Int64, atomic.Uint64, …) instead",
+				fn.Name())
+		}
 	}
 	checkDoubleLoad(p)
-}
-
-// checkPlainAccess reports every non-atomic use of an object in the
-// program-wide atomic index. The atomic call sites themselves, struct
-// field declarations, and composite-literal keys are exempt.
-func checkPlainAccess(p *Pass, prog *Program) {
-	for _, f := range p.Pkg.Files {
-		pm := buildParents(f)
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := p.Pkg.Info.Uses[id]
-			if obj == nil {
-				return true
-			}
-			at, tracked := prog.atomicFn[obj]
-			if !tracked {
-				return true
-			}
-			if isAtomicOperand(p.Pkg, pm, id) || isCompositeKey(pm, id) {
-				return true
-			}
-			p.Reportf(id.Pos(),
-				"%s is accessed with sync/atomic at %s; this plain access races with it — use the atomic API everywhere",
-				id.Name, posString(at))
-			return true
-		})
-	}
-}
-
-// isAtomicOperand reports whether id is (part of) the &x operand of a
-// sync/atomic function call.
-func isAtomicOperand(pkg *Package, pm parentMap, id *ast.Ident) bool {
-	for cur := ast.Node(id); cur != nil; cur = pm[cur] {
-		un, ok := cur.(*ast.UnaryExpr)
-		if !ok || un.Op != token.AND {
-			continue
-		}
-		call, ok := pm[un].(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		fn := callee(pkg.Info, call)
-		return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && recvType(fn) == nil
-	}
-	return false
-}
-
-// isCompositeKey reports whether id is the field name of a
-// composite-literal element (T{field: v}), which is initialization
-// before publication, not an access.
-func isCompositeKey(pm parentMap, id *ast.Ident) bool {
-	kv, ok := pm[id].(*ast.KeyValueExpr)
-	if !ok || kv.Key != id {
-		return false
-	}
-	_, inLit := pm[kv].(*ast.CompositeLit)
-	return inLit
 }
 
 // checkDoubleLoad flags two atomic loads of the same expression inside

@@ -10,11 +10,11 @@ import (
 )
 
 // This file is the interprocedural layer shared by the lockorder,
-// goroleak, gendiscipline, and atomicmix analyzers: a whole-program
-// index of function bodies ("facts") plus bottom-up summaries computed
-// as fixpoints over the static call graph. Everything is keyed by
-// *types.Func, so facts compose across packages loaded by the same
-// Loader.
+// goroleak, and gendiscipline analyzers (lockheld reads only its
+// critical-section regions): a whole-program index of function bodies
+// ("facts") plus bottom-up summaries computed as fixpoints over the
+// static call graph. Everything is keyed by *types.Func, so facts
+// compose across packages loaded by the same Loader.
 //
 // Soundness boundaries (shared by every client; see DESIGN.md):
 //   - Only statically resolvable calls contribute: calls through
@@ -120,23 +120,16 @@ type heldState struct {
 	set map[LockClass]bool
 }
 
-// LockEdge is one "acquired B while holding A" observation.
-type LockEdge struct {
+// lockEdge is one "acquired B while holding A" observation.
+type lockEdge struct {
 	From, To LockClass
 	Witness  token.Position // where To was acquired (or the call that acquires it)
 	Func     string         // fully qualified function containing the witness
 }
 
-// FuncSummary is the printable per-function summary (-summaries).
-type FuncSummary struct {
-	Func     string
-	Acquires []string
-	Forever  bool
-}
-
 // Program is the shared interprocedural index. Build one per analysis
-// run (RunAll/RunProgram build one for all packages; Run builds a
-// single-package one so fixture tests stay self-contained).
+// run (mplint builds one for all packages; Run builds a single-package
+// one so fixture tests stay self-contained).
 type Program struct {
 	Cfg  *Config
 	pkgs []*Package
@@ -151,11 +144,11 @@ type Program struct {
 	closedCls map[string]bool       // closed channels by declaration class
 	closedObj map[types.Object]bool // closed channels by object (locals, vars)
 	heldIn    map[*types.Func]heldState
-	atomicFn  map[types.Object]token.Position // &field handed to a sync/atomic function
 
-	lockEdges  []LockEdge
+	lockEdges  []lockEdge
 	cycleDiags []cycleDiag
-	genCache   map[string][2]map[*types.Func]bool // gendiscipline mutate/bump summaries per spec
+	genMutates map[*types.Func]bool // gendiscipline: functions that (transitively) mutate Collection data
+	genBumps   map[*types.Func]bool // gendiscipline: functions that (transitively) bump its generation
 }
 
 // NewProgram indexes pkgs for interprocedural analysis. Facts are built
@@ -173,7 +166,6 @@ func (prog *Program) ensure() {
 	prog.pkgFiles = map[string]*Package{}
 	prog.closedCls = map[string]bool{}
 	prog.closedObj = map[types.Object]bool{}
-	prog.atomicFn = map[types.Object]token.Position{}
 	for _, pkg := range prog.pkgs {
 		for _, f := range pkg.Files {
 			prog.pkgFiles[pkg.Fset.Position(f.Pos()).Filename] = pkg
@@ -190,7 +182,6 @@ func (prog *Program) ensure() {
 			prog.factList = append(prog.factList, ff)
 		})
 		prog.indexCloses(pkg)
-		prog.indexAtomicFns(pkg)
 	}
 	sort.Slice(prog.factList, func(i, j int) bool {
 		a := prog.factList[i].pkg.Fset.Position(prog.factList[i].decl.Pos())
@@ -315,11 +306,12 @@ func syncLockStmt(pkg *Package, st ast.Stmt) (name string, recv ast.Expr, kind s
 	return syncLockCall(pkg, call)
 }
 
-// collectIntervals mirrors lockheld's region walker but records the
-// critical sections as position intervals, so event collection can ask
-// "what is held here" by position alone. The same approximations
-// apply: a `lock; defer unlock` pair holds to the end of its statement
-// list, and an unmatched lock holds to the end of the list.
+// collectIntervals is the one lock-region walker: it records each
+// critical section as a position interval, so event collection and
+// lockheld can ask "what is held here" by position alone. A `lock;
+// defer unlock` pair holds to the end of its statement list, and an
+// unmatched lock holds to the end of the list. An enclosing region is
+// recorded before the regions nested in it.
 func collectIntervals(pkg *Package, list []ast.Stmt, out *[]lockInterval) {
 	i := 0
 	for i < len(list) {
@@ -634,7 +626,7 @@ func collectFuncEvents(pkg *Package, decl *ast.FuncDecl, regions []lockInterval)
 	return evs
 }
 
-// ---- Closed-channel and atomic-function indexes ---------------------
+// ---- Closed-channel index --------------------------------------------
 
 // indexCloses records every close(x) in pkg, by object identity and by
 // declaration class, so goroleak can prove "this channel is closed
@@ -652,35 +644,6 @@ func (prog *Program) indexCloses(pkg *Package) {
 			}
 			if obj := exprObj(pkg, arg); obj != nil {
 				prog.closedObj[obj] = true
-			}
-			return true
-		})
-	}
-}
-
-// indexAtomicFns records every field or package var whose address is
-// handed to a sync/atomic package function (atomic.AddUint64(&x, 1)
-// style, as opposed to the typed atomic.Uint64 API). atomicmix flags
-// plain accesses to these objects anywhere in the program.
-func (prog *Program) indexAtomicFns(pkg *Package) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			fn := callee(pkg.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || recvType(fn) != nil {
-				return true
-			}
-			un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				return true
-			}
-			if obj, _ := writeTarget(pkg, un.X); obj != nil {
-				if _, seen := prog.atomicFn[obj]; !seen {
-					prog.atomicFn[obj] = pkg.Fset.Position(call.Pos())
-				}
 			}
 			return true
 		})
@@ -1175,7 +1138,7 @@ func (prog *Program) computeLockGraph() {
 					k := edgeKey{h.class, ev.class}
 					if !seen[k] {
 						seen[k] = true
-						prog.lockEdges = append(prog.lockEdges, LockEdge{
+						prog.lockEdges = append(prog.lockEdges, lockEdge{
 							From: h.class, To: ev.class,
 							Witness: ff.pkg.Fset.Position(ev.pos),
 							Func:    ff.fn.FullName(),
@@ -1194,7 +1157,7 @@ func (prog *Program) computeLockGraph() {
 						k := edgeKey{h.class, cls}
 						if !seen[k] {
 							seen[k] = true
-							prog.lockEdges = append(prog.lockEdges, LockEdge{
+							prog.lockEdges = append(prog.lockEdges, lockEdge{
 								From: h.class, To: cls,
 								Witness: ff.pkg.Fset.Position(ev.pos),
 								Func:    ff.fn.FullName(),
@@ -1218,7 +1181,7 @@ func (prog *Program) computeLockGraph() {
 // components; any component with two or more classes — or a self-loop —
 // is an acquisition-order hazard.
 func (prog *Program) findCycles() {
-	adj := map[LockClass][]LockEdge{}
+	adj := map[LockClass][]lockEdge{}
 	var nodes []LockClass
 	nodeSeen := map[LockClass]bool{}
 	for _, e := range prog.lockEdges {
@@ -1282,7 +1245,7 @@ func (prog *Program) findCycles() {
 		for _, c := range comp {
 			inComp[c] = true
 		}
-		var cyclic []LockEdge
+		var cyclic []lockEdge
 		for _, c := range comp {
 			for _, e := range adj[c] {
 				if inComp[e.To] && (len(comp) > 1 || e.To == e.From) {
@@ -1331,32 +1294,4 @@ func posString(p token.Position) string {
 		name = name[i+1:]
 	}
 	return fmt.Sprintf("%s:%d", name, p.Line)
-}
-
-// ---- Debug output (-graph / -summaries) -----------------------------
-
-// LockEdges returns the global acquisition-order edges, sorted.
-func (prog *Program) LockEdges() []LockEdge {
-	prog.ensure()
-	return prog.lockEdges
-}
-
-// Summaries returns the per-function summary table, sorted by function.
-func (prog *Program) Summaries() []FuncSummary {
-	prog.ensure()
-	var out []FuncSummary
-	for _, ff := range prog.factList {
-		var acq []string
-		for cls := range prog.acquires[ff.fn] {
-			acq = append(acq, string(cls))
-		}
-		sort.Strings(acq)
-		out = append(out, FuncSummary{
-			Func:     ff.fn.FullName(),
-			Acquires: acq,
-			Forever:  prog.forever[ff.fn],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Func < out[j].Func })
-	return out
 }

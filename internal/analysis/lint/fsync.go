@@ -29,9 +29,11 @@ var FsyncErr = &Analyzer{
 	Run:  runFsyncErr,
 }
 
+// fsyncScope lists where fsyncerr applies.
+var fsyncScope = []string{"internal"}
+
 func runFsyncErr(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.FsyncScope) {
+	if !p.inScope(fsyncScope) {
 		return
 	}
 	for _, file := range p.Pkg.Files {

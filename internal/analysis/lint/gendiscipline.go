@@ -20,11 +20,13 @@ import (
 //  3. Every rcache consult passes a generation that was loaded from a
 //     generation counter before the read — never a constant, never a
 //     value conjured after the fact.
-//  4. Routed write paths (Router.writeOnGroup callers) bump the shard
-//     generation, so cached reads and ETags see the write.
 //
-// The shapes are configured (Config.GenCollections / GenPairs) so the
-// golden fixtures can replicate them under their own types.
+// The routed counterpart — every Router write bumps its shard
+// generation — needs no rule: Router.writeOnGroup defers the bump
+// itself, so no write path can skip it.
+//
+// The collection shape (genSpec) is matched by type and field names,
+// so the golden fixtures can replicate it under their own types.
 //
 // Soundness boundary: held-lock context propagates through static
 // calls only (a mutator invoked via interface or func value gets the
@@ -36,41 +38,33 @@ var GenDiscipline = &Analyzer{
 	Run:  runGenDiscipline,
 }
 
-// GenCollection describes one generation-counted container shape.
-type GenCollection struct {
-	TypeName   string   // unqualified type name, e.g. "Collection"
-	LockField  string   // the guarding RWMutex field, e.g. "mu"
-	BumpMethod string   // the bump-under-lock method, e.g. "bumpGenLocked"
+// genSpec is the datastore Collection's generation-counted shape.
+var genSpec = struct {
+	TypeName   string   // unqualified type name
+	LockField  string   // the guarding RWMutex field
+	BumpMethod string   // the bump-under-lock method
 	DataFields []string // fields whose mutation requires a bump
+}{
+	TypeName:   "Collection",
+	LockField:  "mu",
+	BumpMethod: "bumpGenLocked",
+	DataFields: []string{"docs", "order", "seq", "seqNext", "ordered", "bytes"},
 }
 
-// GenPair describes a write-method/bump-method pairing on one type.
-type GenPair struct {
-	TypeName    string // e.g. "Router"
-	WriteMethod string // e.g. "writeOnGroup"
-	BumpMethod  string // e.g. "bumpGen"
-}
+// genScope lists where gendiscipline applies: the generation protocol
+// only has meaning where the datastore, the query engine and the
+// router meet.
+var genScope = []string{"internal/datastore", "internal/queryengine", "internal/cluster"}
 
 func runGenDiscipline(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.GenScope) {
+	if !p.inScope(genScope) {
 		return
 	}
 	prog := p.Prog
 	prog.ensure()
-	facts := prog.factsFor(p.Pkg)
-	for _, spec := range p.Cfg.GenCollections {
-		mutates, bumps := prog.genSummaries(spec)
-		for _, ff := range facts {
-			checkCollectionFacts(p, prog, spec, ff, mutates, bumps)
-		}
-	}
-	for _, pair := range p.Cfg.GenPairs {
-		for _, ff := range facts {
-			checkPair(p, pair, ff)
-		}
-	}
-	for _, ff := range facts {
+	mutates, bumps := prog.genTransitive()
+	for _, ff := range prog.factsFor(p.Pkg) {
+		checkCollectionFacts(p, prog, ff, mutates, bumps)
 		checkCacheConsults(p, ff)
 	}
 }
@@ -85,11 +79,11 @@ func ownerIs(owner *types.Named, typeName string) bool {
 	return isStruct
 }
 
-func isSpecDataWrite(spec GenCollection, ev event) bool {
-	if ev.kind != evWrite || !ownerIs(ev.fieldOwner, spec.TypeName) {
+func isSpecDataWrite(ev event) bool {
+	if ev.kind != evWrite || !ownerIs(ev.fieldOwner, genSpec.TypeName) {
 		return false
 	}
-	for _, f := range spec.DataFields {
+	for _, f := range genSpec.DataFields {
 		if ev.field.Name() == f {
 			return true
 		}
@@ -97,35 +91,27 @@ func isSpecDataWrite(spec GenCollection, ev event) bool {
 	return false
 }
 
-func isSpecBumpCall(spec GenCollection, ev event) bool {
-	return ev.kind == evCall && ev.callee != nil && ev.callee.Name() == spec.BumpMethod &&
-		ownerIs(namedOf(recvType(ev.callee)), spec.TypeName)
+func isSpecBumpCall(ev event) bool {
+	return ev.kind == evCall && ev.callee != nil && ev.callee.Name() == genSpec.BumpMethod &&
+		ownerIs(namedOf(recvType(ev.callee)), genSpec.TypeName)
 }
 
 // specLockClass reports whether a lock class is the spec's guard:
 // "(pkg.TypeName).LockField" for any package.
-func specLockClass(spec GenCollection, class LockClass) bool {
-	return strings.HasSuffix(string(class), "."+spec.TypeName+")."+spec.LockField)
+func specLockClass(class LockClass) bool {
+	return strings.HasSuffix(string(class), "."+genSpec.TypeName+")."+genSpec.LockField)
 }
 
-// methodOwnerIs reports whether fn is a method on the spec type.
-func methodOwnerIs(fn *types.Func, typeName string) bool {
-	return ownerIs(namedOf(recvType(fn)), typeName)
-}
+// ---- Transitive mutate/bump summaries (cached per Program) ----------
 
-// ---- Transitive mutate/bump summaries (cached per spec) -------------
-
-// genSummaries computes, bottom-up, which functions (transitively)
+// genTransitive computes, bottom-up, which functions (transitively)
 // mutate the spec's data fields and which (transitively) bump its
 // generation. Calls inside literals and go statements do not count: a
 // mutation deferred to another goroutine is not covered by this lock
 // region anyway.
-func (prog *Program) genSummaries(spec GenCollection) (mutates, bumps map[*types.Func]bool) {
-	if prog.genCache == nil {
-		prog.genCache = map[string][2]map[*types.Func]bool{}
-	}
-	if c, ok := prog.genCache[spec.TypeName]; ok {
-		return c[0], c[1]
+func (prog *Program) genTransitive() (mutates, bumps map[*types.Func]bool) {
+	if prog.genMutates != nil {
+		return prog.genMutates, prog.genBumps
 	}
 	mutates = map[*types.Func]bool{}
 	bumps = map[*types.Func]bool{}
@@ -134,10 +120,10 @@ func (prog *Program) genSummaries(spec GenCollection) (mutates, bumps map[*types
 			if ev.inLit || ev.inGo {
 				continue
 			}
-			if isSpecDataWrite(spec, ev) {
+			if isSpecDataWrite(ev) {
 				mutates[ff.fn] = true
 			}
-			if isSpecBumpCall(spec, ev) {
+			if isSpecBumpCall(ev) {
 				bumps[ff.fn] = true
 			}
 		}
@@ -160,39 +146,39 @@ func (prog *Program) genSummaries(spec GenCollection) (mutates, bumps map[*types
 			}
 		}
 	}
-	prog.genCache[spec.TypeName] = [2]map[*types.Func]bool{mutates, bumps}
+	prog.genMutates, prog.genBumps = mutates, bumps
 	return mutates, bumps
 }
 
 // ---- Rules 1 & 2: mutations and bumps under the write lock ----------
 
-func checkCollectionFacts(p *Pass, prog *Program, spec GenCollection, ff *funcFacts, mutates, bumps map[*types.Func]bool) {
+func checkCollectionFacts(p *Pass, prog *Program, ff *funcFacts, mutates, bumps map[*types.Func]bool) {
 	// Rule 2: a bump call must run with the spec lock exclusively held —
 	// locally or guaranteed by every caller. The bump method itself is
 	// exempt (it is the mechanism, not a use).
 	for _, ev := range ff.events {
-		if !isSpecBumpCall(spec, ev) || ev.inLit || ev.inGo {
+		if !isSpecBumpCall(ev) || ev.inLit || ev.inGo {
 			continue
 		}
-		if !specHeld(prog, spec, ff.fn, ev) {
+		if !specHeld(prog, ff.fn, ev) {
 			p.Reportf(ev.pos,
 				"%s called without holding the %s write lock; a reader can observe the new generation before the data (or vice versa)",
-				spec.BumpMethod, spec.TypeName)
+				genSpec.BumpMethod, genSpec.TypeName)
 		}
 	}
 
 	// Rule 1a: direct data-field writes need the write lock.
 	for _, ev := range ff.events {
-		if !isSpecDataWrite(spec, ev) || ev.inLit || ev.inGo {
+		if !isSpecDataWrite(ev) || ev.inLit || ev.inGo {
 			continue
 		}
-		if ff.fn.Name() == spec.BumpMethod {
+		if ff.fn.Name() == genSpec.BumpMethod {
 			continue
 		}
-		if !specHeld(prog, spec, ff.fn, ev) && !isConstructor(prog, ff, spec) {
+		if !specHeld(prog, ff.fn, ev) && !isConstructor(prog, ff) {
 			p.Reportf(ev.pos,
 				"%s.%s mutated without holding the %s write lock",
-				spec.TypeName, ev.field.Name(), spec.TypeName)
+				genSpec.TypeName, ev.field.Name(), genSpec.TypeName)
 		}
 	}
 
@@ -200,7 +186,7 @@ func checkCollectionFacts(p *Pass, prog *Program, spec GenCollection, ff *funcFa
 	// mutates data (directly or through calls) must also bump
 	// (directly or through calls) before releasing.
 	for _, region := range ff.regions {
-		if !region.lk.excl || !specLockClass(spec, region.lk.class) {
+		if !region.lk.excl || !specLockClass(region.lk.class) {
 			continue
 		}
 		var regionMutates, regionBumps bool
@@ -208,10 +194,10 @@ func checkCollectionFacts(p *Pass, prog *Program, spec GenCollection, ff *funcFa
 			if !region.contains(ev.pos) || ev.inLit || ev.inGo {
 				continue
 			}
-			if isSpecDataWrite(spec, ev) {
+			if isSpecDataWrite(ev) {
 				regionMutates = true
 			}
-			if isSpecBumpCall(spec, ev) {
+			if isSpecBumpCall(ev) {
 				regionBumps = true
 			}
 			if ev.kind == evCall && ev.callee != nil {
@@ -226,7 +212,7 @@ func checkCollectionFacts(p *Pass, prog *Program, spec GenCollection, ff *funcFa
 		if regionMutates && !regionBumps {
 			p.Reportf(region.lk.pos,
 				"write-locked region mutates %s data but never bumps the generation; cached reads will validate stale entries against the old generation forever",
-				spec.TypeName)
+				genSpec.TypeName)
 		}
 	}
 }
@@ -234,9 +220,9 @@ func checkCollectionFacts(p *Pass, prog *Program, spec GenCollection, ff *funcFa
 // specHeld reports whether the spec's write lock is exclusively held at
 // ev: in the event's own held set, or guaranteed at every static call
 // site of the containing function.
-func specHeld(prog *Program, spec GenCollection, fn *types.Func, ev event) bool {
+func specHeld(prog *Program, fn *types.Func, ev event) bool {
 	for _, h := range ev.held {
-		if h.excl && specLockClass(spec, h.class) {
+		if h.excl && specLockClass(h.class) {
 			return true
 		}
 	}
@@ -245,7 +231,7 @@ func specHeld(prog *Program, spec GenCollection, fn *types.Func, ev event) bool 
 		return false
 	}
 	for cls := range g.set {
-		if specLockClass(spec, cls) {
+		if specLockClass(cls) {
 			return true
 		}
 	}
@@ -257,14 +243,14 @@ func specHeld(prog *Program, spec GenCollection, fn *types.Func, ev event) bool 
 // fields of a value it just allocated. The heuristic is the usual one —
 // the function returns the spec type (or a pointer to it) and is not a
 // method on it.
-func isConstructor(prog *Program, ff *funcFacts, spec GenCollection) bool {
+func isConstructor(prog *Program, ff *funcFacts) bool {
 	sig, ok := ff.fn.Type().(*types.Signature)
 	if !ok || sig.Recv() != nil {
 		return false
 	}
 	res := sig.Results()
 	for i := 0; i < res.Len(); i++ {
-		if named := namedOf(res.At(i).Type()); named != nil && named.Obj().Name() == spec.TypeName {
+		if named := namedOf(res.At(i).Type()); named != nil && named.Obj().Name() == genSpec.TypeName {
 			return true
 		}
 	}
@@ -386,34 +372,4 @@ func containsGenSource(pkg *Package, e ast.Expr) bool {
 		return true
 	})
 	return found
-}
-
-// ---- Rule 4: routed writes bump the shard generation ----------------
-
-func checkPair(p *Pass, pair GenPair, ff *funcFacts) {
-	name := ff.fn.Name()
-	if name == pair.WriteMethod || name == pair.BumpMethod {
-		return
-	}
-	var writes []event
-	sawBump := false
-	for _, ev := range ff.events {
-		if ev.kind != evCall || ev.callee == nil {
-			continue
-		}
-		switch {
-		case ev.callee.Name() == pair.WriteMethod && methodOwnerIs(ev.callee, pair.TypeName):
-			writes = append(writes, ev)
-		case ev.callee.Name() == pair.BumpMethod && methodOwnerIs(ev.callee, pair.TypeName):
-			sawBump = true
-		}
-	}
-	if sawBump {
-		return
-	}
-	for _, ev := range writes {
-		p.Reportf(ev.pos,
-			"%s.%s write path never calls %s; cached reads and ETags will not see this write until an unrelated one lands",
-			pair.TypeName, pair.WriteMethod, pair.BumpMethod)
-	}
 }

@@ -29,9 +29,11 @@ var GoroLeak = &Analyzer{
 	Run:  runGoroLeak,
 }
 
+// goroScope lists where goroleak reports.
+var goroScope = []string{"internal"}
+
 func runGoroLeak(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.GoroScope) {
+	if !p.inScope(goroScope) {
 		return
 	}
 	prog := p.Prog

@@ -16,6 +16,9 @@
 //   - wrapcheck: cross-package error returns in cluster/restapi wrap
 //     with %w or map to a typed sentinel (retry classification).
 //
+// lockorder, goroleak, gendiscipline and atomicmix cover lock order,
+// goroutine termination, the cache-generation protocol and atomics.
+//
 // Everything here is stdlib-only: go/parser + go/ast + go/types with
 // the source importer, matching the module's no-dependency policy.
 //
@@ -92,72 +95,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Config carries the repo policy: which module this is and where each
-// analyzer applies. Paths are module-relative prefixes ("internal/obs"
-// matches internal/obs and internal/obs/...).
+// Config names the module under analysis. Where each analyzer applies
+// is fixed next to the analyzer, as module-relative path prefixes
+// ("internal/obs" matches internal/obs and internal/obs/...).
 type Config struct {
 	// ModulePath is the module's import-path prefix ("matproj").
 	ModulePath string
-	// ClockAllow lists prefixes where wall-clock calls are permitted.
-	ClockAllow []string
-	// RandScope lists prefixes where seededrand applies.
-	RandScope []string
-	// FsyncScope lists prefixes where fsyncerr applies.
-	FsyncScope []string
-	// AliasScope lists prefixes where docaliasing applies.
-	AliasScope []string
-	// LockScope lists prefixes where lockheld applies.
-	LockScope []string
-	// WrapScope lists prefixes where wrapcheck applies.
-	WrapScope []string
-	// LockOrderScope lists prefixes where lockorder applies.
-	LockOrderScope []string
-	// GoroScope lists prefixes where goroleak applies.
-	GoroScope []string
-	// AtomicScope lists prefixes where atomicmix applies.
-	AtomicScope []string
-	// GenScope lists prefixes where gendiscipline applies.
-	GenScope []string
-	// GenCollections are the generation-counted container shapes
-	// gendiscipline enforces (see that analyzer's doc).
-	GenCollections []GenCollection
-	// GenPairs are the write-method/bump-method pairings gendiscipline
-	// enforces on routed write paths.
-	GenPairs []GenPair
-}
-
-// DefaultConfig is the policy for this repository.
-func DefaultConfig(modulePath string) *Config {
-	return &Config{
-		ModulePath: modulePath,
-		// obs exists to measure wall time; vclock is the injection
-		// point's one sanctioned implementation; cmd mains and
-		// examples run in real time by definition.
-		ClockAllow: []string{"internal/obs", "internal/vclock", "cmd", "examples"},
-		RandScope:  []string{"internal"},
-		FsyncScope: []string{"internal"},
-		AliasScope: []string{"internal"},
-		LockScope:  []string{"internal/datastore", "internal/cluster", "internal/fireworks"},
-		WrapScope:  []string{"internal/cluster", "internal/restapi"},
-		// The interprocedural suite covers all of internal/; the
-		// generation protocol only has meaning where the datastore,
-		// the query engine, and the router meet.
-		LockOrderScope: []string{"internal"},
-		GoroScope:      []string{"internal"},
-		AtomicScope:    []string{"internal"},
-		GenScope:       []string{"internal/datastore", "internal/queryengine", "internal/cluster"},
-		GenCollections: []GenCollection{{
-			TypeName:   "Collection",
-			LockField:  "mu",
-			BumpMethod: "bumpGenLocked",
-			DataFields: []string{"docs", "order", "seq", "seqNext", "ordered", "bytes"},
-		}},
-		GenPairs: []GenPair{{
-			TypeName:    "Router",
-			WriteMethod: "writeOnGroup",
-			BumpMethod:  "bumpGen",
-		}},
-	}
 }
 
 // Rel returns path relative to the module root ("" for the root
@@ -170,19 +113,21 @@ func (c *Config) Rel(path string) string {
 	return strings.TrimPrefix(path, c.ModulePath+"/")
 }
 
-// inScope reports whether rel matches any prefix (whole path elements).
-func inScope(rel string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
+// inScope reports whether the pass's package lies under any of the
+// module-relative prefixes (whole path elements).
+func (p *Pass) inScope(prefixes []string) bool {
+	rel := p.Cfg.Rel(p.Pkg.Path)
+	for _, pre := range prefixes {
+		if rel == pre || strings.HasPrefix(rel, pre+"/") {
 			return true
 		}
 	}
 	return false
 }
 
-// Analyzers returns the full suite in stable order: the six
-// intraprocedural checks from PR 4, then the four interprocedural ones
-// built on the shared call-graph layer (callgraph.go).
+// Analyzers returns the full suite in stable order. lockorder,
+// goroleak and gendiscipline are built on the shared call-graph layer
+// (callgraph.go); lockheld reads its critical sections from it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		ClockDiscipline,
@@ -198,48 +143,11 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Select filters the suite by -only / -skip style name lists (nil means
-// no filter). Unknown names are reported as an error.
-func Select(all []*Analyzer, only, skip []string) ([]*Analyzer, error) {
-	known := map[string]*Analyzer{}
-	for _, a := range all {
-		known[a.Name] = a
-	}
-	for _, n := range append(append([]string{}, only...), skip...) {
-		if known[n] == nil {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-	}
-	skipSet := map[string]bool{}
-	for _, n := range skip {
-		skipSet[n] = true
-	}
-	var out []*Analyzer
-	for _, a := range all {
-		if len(only) > 0 {
-			found := false
-			for _, n := range only {
-				if n == a.Name {
-					found = true
-				}
-			}
-			if !found {
-				continue
-			}
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // Run applies the analyzers to one package and returns surviving
 // diagnostics: suppression directives are honored, malformed ones are
 // reported under the pseudo-analyzer "lint". The interprocedural
 // analyzers see a single-package Program — fixtures stay
-// self-contained; use RunAll/RunProgram for whole-module analysis.
+// self-contained; use RunProgram for whole-module analysis.
 func Run(pkg *Package, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 	return runOne(NewProgram([]*Package{pkg}, cfg), pkg, cfg, analyzers)
 }
@@ -274,12 +182,6 @@ func runOne(prog *Program, pkg *Package, cfg *Config, analyzers []*Analyzer) []D
 	return kept
 }
 
-// RunAll runs the analyzers over every package with one shared
-// interprocedural Program and concatenates the results.
-func RunAll(pkgs []*Package, cfg *Config, analyzers []*Analyzer) []Diagnostic {
-	return RunProgram(NewProgram(pkgs, cfg), pkgs, analyzers)
-}
-
 // RunProgram runs the analyzers over the report packages against an
 // existing Program, which may index a superset (mplint builds the
 // Program over the whole module so package patterns narrow reporting,
@@ -300,42 +202,6 @@ type ignoreDirective struct {
 	line      int
 	analyzers map[string]bool
 	wholeFile bool
-	reason    string
-	pos       token.Position
-}
-
-// Ignore is one active suppression directive, for review tooling
-// (mplint -ignored).
-type Ignore struct {
-	Pos       token.Position
-	Analyzers []string
-	WholeFile bool
-	Reason    string
-}
-
-// Ignores lists every well-formed suppression directive in pkg, sorted
-// by position. Malformed directives are not included — running the
-// suite reports those.
-func Ignores(pkg *Package) []Ignore {
-	idx, _ := buildIgnoreIndex(pkg)
-	var out []Ignore
-	for _, dirs := range idx.byFile {
-		for _, d := range dirs {
-			names := make([]string, 0, len(d.analyzers))
-			for n := range d.analyzers {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			out = append(out, Ignore{Pos: d.pos, Analyzers: names, WholeFile: d.wholeFile, Reason: d.reason})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		return out[i].Pos.Line < out[j].Pos.Line
-	})
-	return out
 }
 
 type ignoreIndex struct {
@@ -377,8 +243,6 @@ func buildIgnoreIndex(pkg *Package) (*ignoreIndex, []Diagnostic) {
 					line:      pos.Line,
 					analyzers: names,
 					wholeFile: m[1] == "file-ignore",
-					reason:    strings.TrimSpace(m[4]),
-					pos:       pos,
 				})
 			}
 		}

@@ -62,7 +62,7 @@ func runFixture(t *testing.T, l *lint.Loader, dir, asPath, analyzer string) []li
 	for _, te := range pkg.TypeErrors {
 		t.Errorf("fixture %s does not type-check: %v", dir, te)
 	}
-	cfg := lint.DefaultConfig(l.ModulePath)
+	cfg := &lint.Config{ModulePath: l.ModulePath}
 	return lint.Run(pkg, cfg, []*lint.Analyzer{analyzerByName(t, analyzer)})
 }
 
@@ -212,29 +212,13 @@ func TestReasonlessDirective(t *testing.T) {
 	}
 }
 
-// TestSelect covers the -only/-skip plumbing, including unknown names.
-func TestSelect(t *testing.T) {
-	all := lint.Analyzers()
-	only, err := lint.Select(all, []string{"fsyncerr"}, nil)
-	if err != nil || len(only) != 1 || only[0].Name != "fsyncerr" {
-		t.Fatalf("Select only: %v %v", only, err)
-	}
-	skipped, err := lint.Select(all, nil, []string{"fsyncerr", "wrapcheck"})
-	if err != nil || len(skipped) != len(all)-2 {
-		t.Fatalf("Select skip: %v %v", skipped, err)
-	}
-	if _, err := lint.Select(all, []string{"nope"}, nil); err == nil {
-		t.Fatal("Select accepted an unknown analyzer name")
-	}
-}
-
 // TestSelfHosted runs the full suite over the lint package and the
 // mplint command themselves: the analyzers must come back clean on
 // their own source.
 func TestSelfHosted(t *testing.T) {
 	l := newLoader(t)
 	root := moduleRoot(t)
-	cfg := lint.DefaultConfig(l.ModulePath)
+	cfg := &lint.Config{ModulePath: l.ModulePath}
 	targets := []struct{ dir, asPath string }{
 		{filepath.Join(root, "internal", "analysis", "lint"), "matproj/internal/analysis/lint"},
 		{filepath.Join(root, "cmd", "mplint"), "matproj/cmd/mplint"},
@@ -291,7 +275,7 @@ func TestLoadAllSkipsNestedModule(t *testing.T) {
 		}
 		t.Fatalf("loaded %v, want only fixmod/internal/clean", paths)
 	}
-	cfg := lint.DefaultConfig(l.ModulePath)
+	cfg := &lint.Config{ModulePath: l.ModulePath}
 	if diags := lint.RunProgram(lint.NewProgram(pkgs, cfg), pkgs, lint.Analyzers()); len(diags) != 0 {
 		t.Fatalf("nested module produced findings: %v", diags)
 	}

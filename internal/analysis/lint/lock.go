@@ -2,7 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
+	"go/token"
 )
 
 // LockHeld reports file/network I/O, blocking sleeps, and channel
@@ -12,174 +12,60 @@ import (
 // a peer stalls every one of them, and a channel send under a lock is
 // a deadlock waiting for the right interleaving.
 //
-// The analysis is intraprocedural: a region starts at an x.Lock() /
-// x.RLock() statement and ends at the matching x.Unlock()/x.RUnlock()
-// in the same statement list, or — for the `mu.Lock(); defer
-// mu.Unlock()` idiom — at the end of the function. Function literals
-// started inside a region (goroutines) are not considered held.
+// The analysis is intraprocedural. Critical sections come from the
+// shared region walker (collectIntervals in callgraph.go): a region
+// starts at an x.Lock() / x.RLock() statement and ends at the matching
+// unlock in the same statement list, or — for the `mu.Lock(); defer
+// mu.Unlock()` idiom — at the end of that list; a branch tail after an
+// early unlock is outside it. Function literals started inside a region
+// (goroutines) are not considered held.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "I/O or channel send while holding a mutex stalls every serving role sharing the lock",
 	Run:  runLockHeld,
 }
 
+// lockScope lists where lockheld applies: the packages serving the
+// Fig. 2 roles.
+var lockScope = []string{"internal/datastore", "internal/cluster", "internal/fireworks"}
+
 func runLockHeld(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.LockScope) {
+	if !p.inScope(lockScope) {
 		return
 	}
-	funcBodies(p.Pkg, func(decl *ast.FuncDecl, _ *ast.File) {
-		scanLockRegions(p, decl.Body)
-	})
-}
-
-// scanLockRegions walks one statement list (recursing into nested
-// blocks), tracking which statements execute under a lock.
-func scanLockRegions(p *Pass, block *ast.BlockStmt) {
-	walkLockList(p, block.List, nil)
-}
-
-// walkLockList processes list with the set of lock descriptions
-// already held on entry.
-func walkLockList(p *Pass, list []ast.Stmt, held []string) {
-	i := 0
-	for i < len(list) {
-		st := list[i]
-		if lockName, kind, ok := lockCall(p, st); ok && kind == "lock" {
-			// Deferred unlock → held to the end of this list (and all
-			// nested statements).
-			if i+1 < len(list) && isDeferredUnlock(p, list[i+1], lockName) {
-				walkLockList(p, list[i+2:], append(held, lockName))
-				return
-			}
-			// Find the matching unlock in this list.
-			end := len(list)
-			for j := i + 1; j < len(list); j++ {
-				if n, k, ok := lockCall(p, list[j]); ok && k == "unlock" && n == lockName {
-					end = j
-					break
-				}
-			}
-			walkLockList(p, list[i+1:end], append(held, lockName))
-			i = end + 1
+	for _, ff := range p.Prog.factsFor(p.Pkg) {
+		if len(ff.regions) == 0 {
 			continue
 		}
-		if len(held) > 0 {
-			checkHeldStmt(p, st, held[len(held)-1])
-		}
-		walkNested(p, st, held)
-		i++
-	}
-}
-
-// walkNested recurses into compound statements so nested lists get the
-// same region tracking.
-func walkNested(p *Pass, st ast.Stmt, held []string) {
-	switch x := st.(type) {
-	case *ast.BlockStmt:
-		walkLockList(p, x.List, held)
-	case *ast.IfStmt:
-		walkLockList(p, x.Body.List, held)
-		if x.Else != nil {
-			walkNested(p, x.Else, held)
-		}
-	case *ast.ForStmt:
-		walkLockList(p, x.Body.List, held)
-	case *ast.RangeStmt:
-		walkLockList(p, x.Body.List, held)
-	case *ast.SwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				walkLockList(p, cc.Body, held)
+		// innermost names the most recently acquired lock held at pos
+		// (collectIntervals records enclosing regions first).
+		innermost := func(pos token.Pos) (string, bool) {
+			held := heldAt(ff.regions, pos, false)
+			if len(held) == 0 {
+				return "", false
 			}
+			return held[len(held)-1].name, true
 		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				walkLockList(p, cc.Body, held)
+		ast.Inspect(ff.decl.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.SendStmt:
+				if lockName, ok := innermost(x.Arrow); ok {
+					p.Reportf(x.Arrow,
+						"channel send while holding %s; an unready receiver deadlocks every caller of this lock", lockName)
+				}
+			case *ast.CallExpr:
+				if why := ioCallKind(p, x); why != "" {
+					if lockName, ok := innermost(x.Pos()); ok {
+						p.Reportf(x.Pos(),
+							"%s while holding %s; stage the I/O outside the critical section", why, lockName)
+					}
+				}
 			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				walkLockList(p, cc.Body, held)
-			}
-		}
-	case *ast.LabeledStmt:
-		walkNested(p, x.Stmt, held)
+			return true
+		})
 	}
-}
-
-// checkHeldStmt reports violations in one statement executed under
-// lockName, without descending into nested statement lists (those are
-// visited by walkNested so each statement is checked exactly once,
-// against its innermost lock). Function literals are skipped: work
-// they enclose runs when called, usually on another goroutine.
-func checkHeldStmt(p *Pass, st ast.Stmt, lockName string) {
-	ast.Inspect(st, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.BlockStmt:
-			return false
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			p.Reportf(x.Arrow,
-				"channel send while holding %s; an unready receiver deadlocks every caller of this lock", lockName)
-		case *ast.CallExpr:
-			if why := ioCallKind(p, x); why != "" {
-				p.Reportf(x.Pos(),
-					"%s while holding %s; stage the I/O outside the critical section", why, lockName)
-			}
-		}
-		return true
-	})
-}
-
-// lockCall recognizes `x.Lock()` / `x.RLock()` / `x.Unlock()` /
-// `x.RUnlock()` expression statements on sync mutexes, returning a
-// stable name for the lock expression.
-func lockCall(p *Pass, st ast.Stmt) (name, kind string, ok bool) {
-	es, isExpr := st.(*ast.ExprStmt)
-	if !isExpr {
-		return "", "", false
-	}
-	call, isCall := es.X.(*ast.CallExpr)
-	if !isCall {
-		return "", "", false
-	}
-	return classifyLockCall(p, call)
-}
-
-func classifyLockCall(p *Pass, call *ast.CallExpr) (name, kind string, ok bool) {
-	f := callee(p.Pkg.Info, call)
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	recv := recvType(f)
-	if !isNamed(recv, "sync", "Mutex") && !isNamed(recv, "sync", "RWMutex") {
-		return "", "", false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch f.Name() {
-	case "Lock", "RLock":
-		return types.ExprString(sel.X), "lock", true
-	case "Unlock", "RUnlock":
-		return types.ExprString(sel.X), "unlock", true
-	}
-	return "", "", false
-}
-
-// isDeferredUnlock matches `defer x.Unlock()` for the named lock.
-func isDeferredUnlock(p *Pass, st ast.Stmt, lockName string) bool {
-	d, ok := st.(*ast.DeferStmt)
-	if !ok {
-		return false
-	}
-	name, kind, ok := classifyLockCall(p, d.Call)
-	return ok && kind == "unlock" && name == lockName
 }
 
 // ioCallKind classifies a call as blocking I/O, returning a short
@@ -212,4 +98,5 @@ var osIOFuncs = map[string]bool{
 	"Mkdir": true, "MkdirAll": true, "MkdirTemp": true,
 	"ReadFile": true, "WriteFile": true, "ReadDir": true,
 	"Chmod": true, "Chtimes": true, "Link": true, "Symlink": true,
+	"Stat": true, "Lstat": true, "Readlink": true, "Chown": true, "Lchown": true,
 }

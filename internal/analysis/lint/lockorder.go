@@ -22,9 +22,11 @@ var LockOrder = &Analyzer{
 	Run:  runLockOrder,
 }
 
+// lockOrderScope lists where lockorder reports.
+var lockOrderScope = []string{"internal"}
+
 func runLockOrder(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.LockOrderScope) {
+	if !p.inScope(lockOrderScope) {
 		return
 	}
 	prog := p.Prog

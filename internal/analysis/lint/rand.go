@@ -19,9 +19,11 @@ var allowedRandFuncs = map[string]bool{
 	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
 }
 
+// randScope lists where seededrand applies.
+var randScope = []string{"internal"}
+
 func runSeededRand(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.RandScope) {
+	if !p.inScope(randScope) {
 		return
 	}
 	for _, file := range p.Pkg.Files {

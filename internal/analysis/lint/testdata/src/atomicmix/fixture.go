@@ -1,7 +1,7 @@
 // Golden fixture for the atomicmix analyzer, loaded as if it lived in
 // internal/cluster (in scope). One field is touched through sync/atomic
-// in one function and plainly elsewhere — the mixed-access race — and
-// one typed atomic is loaded twice inside a single decision.
+// package functions — the shape that leaves plain access compilable —
+// and one typed atomic is loaded twice inside a single decision.
 package fixture
 
 import "sync/atomic"
@@ -12,25 +12,15 @@ type counters struct {
 }
 
 func (c *counters) inc() {
-	atomic.AddInt64(&c.n, 1)
+	atomic.AddInt64(&c.n, 1) // want `sync/atomic\.AddInt64 operates on a plain variable .* declare it as a typed atomic`
 }
 
-func (c *counters) badRead() int64 {
-	return c.n // want `n is accessed with sync/atomic at fixture\.go:\d+; this plain access races`
+func (c *counters) read() int64 {
+	return atomic.LoadInt64(&c.n) // want `sync/atomic\.LoadInt64 operates on a plain variable .* declare it as a typed atomic`
 }
 
-func (c *counters) badWrite() {
-	c.n = 0 // want `n is accessed with sync/atomic at fixture\.go:\d+; this plain access races`
-}
-
-func (c *counters) okAtomic() int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-// Composite-literal keys are initialization, not access.
-func newCounters() *counters {
-	return &counters{n: 0}
-}
+// The typed API is the sanctioned one.
+func (c *counters) hit() { c.hits.Add(1) }
 
 func (c *counters) badDoubleLoad(use func(uint64)) {
 	if c.hits.Load() > 0 {

@@ -1,7 +1,7 @@
 // Golden fixture for the gendiscipline analyzer, loaded as if it lived
-// in internal/datastore (in scope). The Collection and Router types
-// mirror the shapes the analyzer is configured for; the rcache import
-// exercises the consult-side freshness rule.
+// in internal/datastore (in scope). The Collection type mirrors the
+// shape the analyzer is configured for; the rcache import exercises the
+// consult-side freshness rule.
 package fixture
 
 import (
@@ -68,19 +68,4 @@ func goodConsult(cache *rcache.Cache, c *Collection) (any, error) {
 	gen := c.Generation()
 	v, _, err := cache.GetOrCompute("k", gen, func() (any, error) { return 1, nil })
 	return v, err
-}
-
-// Router mirrors the cluster write/bump pairing rule.
-type Router struct{ n atomic.Uint64 }
-
-func (r *Router) writeOnGroup(f func() error) error { return f() }
-func (r *Router) bumpGen()                          { r.n.Add(1) }
-
-func (r *Router) ensureBad(f func() error) {
-	r.writeOnGroup(f) // want `Router\.writeOnGroup write path never calls bumpGen`
-}
-
-func (r *Router) ensureGood(f func() error) {
-	r.writeOnGroup(f)
-	r.bumpGen()
 }

@@ -29,6 +29,7 @@ func (g *guarded) deferredRegion(path string) {
 	if g.n > 0 {
 		os.Remove(path) // want `os\.Remove \(file I/O\) while holding g\.mu`
 	}
+	os.Stat(path) // want `os\.Stat \(file I/O\) while holding g\.mu`
 }
 
 func (g *guarded) goroutineEscapes() {

@@ -24,9 +24,12 @@ var WrapCheck = &Analyzer{
 	Run:  runWrapCheck,
 }
 
+// wrapScope lists where wrapcheck applies: the cluster and REST
+// boundaries, where errors are classified.
+var wrapScope = []string{"internal/cluster", "internal/restapi"}
+
 func runWrapCheck(p *Pass) {
-	rel := p.Cfg.Rel(p.Pkg.Path)
-	if !inScope(rel, p.Cfg.WrapScope) {
+	if !p.inScope(wrapScope) {
 		return
 	}
 	for _, file := range p.Pkg.Files {

@@ -43,7 +43,7 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 		}
 	}
 	err := r.scatter(targets, func(gi int) error {
-		werr := r.writeOnGroup(gi, func(m *member) error {
+		return r.writeOnGroup(collection, gi, func(m *member) error {
 			var resp wire.InsertManyResponse
 			req := wire.InsertManyRequest{Collection: collection, Docs: groupDocs[gi]}
 			if err := r.call(m, wire.PathInsertMany, req, &resp); err != nil {
@@ -58,8 +58,6 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 			}
 			return nil
 		})
-		r.bumpGen(collection, gi)
-		return werr
 	})
 	return ids, err
 }
@@ -122,7 +120,7 @@ func (r *Router) BulkWrite(collection string, ops []datastore.BulkOp) (datastore
 	var mu sync.Mutex
 	failed := 0
 	_ = r.scatter(targets, func(gi int) error {
-		werr := r.writeOnGroup(gi, func(m *member) error {
+		werr := r.writeOnGroup(collection, gi, func(m *member) error {
 			var resp wire.BulkWriteResponse
 			req := wire.BulkWriteRequest{Collection: collection, Ops: groupOps[gi]}
 			if err := r.call(m, wire.PathBulkWrite, req, &resp); err != nil {
@@ -143,7 +141,6 @@ func (r *Router) BulkWrite(collection string, ops []datastore.BulkOp) (datastore
 			mu.Unlock()
 			return nil
 		})
-		r.bumpGen(collection, gi)
 		if werr != nil {
 			mu.Lock()
 			failed++

@@ -583,9 +583,9 @@ func (g *shardGens) sum(collection string) uint64 {
 	return total
 }
 
-// bumpGen advances one shard's write generation for a collection. Writes
-// bump after the routed call returns — even on error, since a write can
-// fail after the primary already applied it.
+// bumpGen advances one shard's write generation for a collection.
+// writeOnGroup bumps after the routed call returns — even on error,
+// since a write can fail after the primary already applied it.
 func (r *Router) bumpGen(collection string, gi int) {
 	r.gens.slot(collection, gi).Add(1)
 }
@@ -653,7 +653,7 @@ func (r *Router) Insert(collection string, doc document.D) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	err = r.writeOnGroup(gi, func(m *member) error {
+	err = r.writeOnGroup(collection, gi, func(m *member) error {
 		var resp wire.InsertResponse
 		if err := r.call(m, wire.PathInsert, wire.InsertRequest{Collection: collection, Doc: map[string]any(d)}, &resp); err != nil {
 			return err
@@ -661,7 +661,6 @@ func (r *Router) Insert(collection string, doc document.D) (string, error) {
 		m.noteGen(resp.Gen)
 		return nil
 	})
-	r.bumpGen(collection, gi)
 	if err != nil {
 		return "", err
 	}
@@ -677,8 +676,10 @@ func (r *Router) Insert(collection string, doc document.D) (string, error) {
 // has applied it; a replica whose ship fails is marked down, bumps
 // cluster.replica_write_failures and is named in the slow-op trace,
 // since it now needs log catch-up before it can serve
-// bounded-staleness reads.
-func (r *Router) writeOnGroup(gi int, do func(m *member) error) error {
+// bounded-staleness reads. Every return bumps the collection's shard
+// generation, so cached reads and ETags see the write.
+func (r *Router) writeOnGroup(collection string, gi int, do func(m *member) error) error {
+	defer r.bumpGen(collection, gi)
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
 		members := r.groups[gi].healthyMembers()
@@ -759,7 +760,7 @@ func (r *Router) shipTo(primary, m *member, head uint64) error {
 // refresh.
 func (r *Router) EnsureOrderedIndex(collection string, paths ...string) {
 	for gi := range r.groups {
-		r.writeOnGroup(gi, func(m *member) error {
+		r.writeOnGroup(collection, gi, func(m *member) error {
 			var resp wire.OKResponse
 			if err := r.call(m, wire.PathEnsureIndex, wire.EnsureIndexRequest{Collection: collection, Paths: paths}, &resp); err != nil {
 				return err
@@ -767,7 +768,6 @@ func (r *Router) EnsureOrderedIndex(collection string, paths ...string) {
 			m.noteGen(resp.Gen)
 			return nil
 		})
-		r.bumpGen(collection, gi)
 	}
 }
 
@@ -829,7 +829,7 @@ func (r *Router) Remove(collection string, filter document.D) (int, error) {
 	}
 	removed := make([]int, len(r.groups))
 	err = r.scatter(targets, func(gi int) error {
-		werr := r.writeOnGroup(gi, func(m *member) error {
+		return r.writeOnGroup(collection, gi, func(m *member) error {
 			var resp wire.CountResponse
 			if err := r.call(m, wire.PathRemove, wire.RemoveRequest{Collection: collection, Filter: wireMap(filter)}, &resp); err != nil {
 				return err
@@ -838,8 +838,6 @@ func (r *Router) Remove(collection string, filter document.D) (int, error) {
 			removed[gi] = resp.N
 			return nil
 		})
-		r.bumpGen(collection, gi)
-		return werr
 	})
 	total := 0
 	for _, n := range removed {
@@ -856,7 +854,7 @@ func (r *Router) updateMany(collection string, filter, update document.D) (datas
 	}
 	results := make([]datastore.UpdateResult, len(r.groups))
 	err = r.scatter(targets, func(gi int) error {
-		werr := r.writeOnGroup(gi, func(m *member) error {
+		return r.writeOnGroup(collection, gi, func(m *member) error {
 			var resp wire.UpdateResponse
 			req := wire.UpdateRequest{Collection: collection, Filter: wireMap(filter), Update: wireMap(update), Many: true}
 			if err := r.call(m, wire.PathUpdate, req, &resp); err != nil {
@@ -866,8 +864,6 @@ func (r *Router) updateMany(collection string, filter, update document.D) (datas
 			results[gi] = datastore.UpdateResult{Matched: resp.Matched, Modified: resp.Modified}
 			return nil
 		})
-		r.bumpGen(collection, gi)
-		return werr
 	})
 	var res datastore.UpdateResult
 	for _, g := range results {

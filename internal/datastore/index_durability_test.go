@@ -210,3 +210,78 @@ func TestReplSnapshotCarriesIndexDefs(t *testing.T) {
 	}
 	assertIndexedStore(t, dst)
 }
+
+// TestReplicatedIndexDropBumpsGeneration pins the replica side of the
+// index-drop/cache contract: a replica applies an index drop through
+// applyRecord, and its collection generation must move on that batch,
+// or generation-keyed caches keep serving plans for the dropped index.
+func TestReplicatedIndexDropBumpsGeneration(t *testing.T) {
+	primary, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	primary.EnableReplication(0)
+	replica, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	replica.EnableReplication(0)
+
+	ship := func(from uint64) uint64 {
+		t.Helper()
+		lines, head, err := primary.ReplTail(from, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied, _, torn, err := replica.ApplyReplEntries(lines); err != nil || torn || applied == 0 {
+			t.Fatalf("apply: applied=%d torn=%v err=%v", applied, torn, err)
+		}
+		return head
+	}
+	insertN(t, primary, "m", 4, 0)
+	primary.C("m").EnsureOrderedIndex("n")
+	head := ship(0)
+	before := replica.C("m").Generation()
+
+	primary.C("m").DropOrderedIndex("n")
+	ship(head)
+	if got := replica.C("m").Stats().Indexes; len(got) != 0 {
+		t.Fatalf("replica indexes after drop: %v", got)
+	}
+	if after := replica.C("m").Generation(); after <= before {
+		t.Fatalf("replicated index drop left the generation at %d (was %d)", after, before)
+	}
+}
+
+// TestReplayedIndexDropBumpsGeneration covers the same drop on journal
+// replay. The journal ends with a write to another collection and then
+// the drop; generations are minted in replay order, so "m" must end
+// newer than "other" — unless the replayed drop skipped its bump.
+func TestReplayedIndexDropBumpsGeneration(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertN(t, s, "m", 4, 0)
+	s.C("m").EnsureOrderedIndex("n")
+	insertN(t, s, "other", 1, 0)
+	s.C("m").DropOrderedIndex("n")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.C("m").Stats().Indexes; len(got) != 0 {
+		t.Fatalf("indexes after replayed drop: %v", got)
+	}
+	if gm, gOther := s2.C("m").Generation(), s2.C("other").Generation(); gm <= gOther {
+		t.Fatalf("replayed index drop did not bump: m at %d, other (replayed before the drop) at %d", gm, gOther)
+	}
+}
