@@ -7,9 +7,11 @@
 //	mpbench -exp fig1 -scale full
 //
 // Experiments: table1, fig1, fig2, fig3, fig4, fig5, mapreduce, taskfarm,
-// fireworks, weekstats, all. Three more are gates scripts/check.sh runs
-// and are not part of all: failover, webload and ingest. Performance
-// claims are measured by the bench/ harness instead.
+// fireworks, weekstats, all. One more is not part of all: webload drives
+// a running mpserve deployment (-url) with open-loop load and gates on
+// p99 and read staleness; scripts/check.sh runs it while it kills and
+// restarts a shard replica. Performance claims are measured by the
+// bench/ harness instead.
 package main
 
 import (
@@ -23,16 +25,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1|fig1|fig2|fig3|fig4|fig5|mapreduce|taskfarm|fireworks|weekstats|failover|ingest|webload|all)")
+	exp := flag.String("exp", "all", "experiment to run (table1|fig1|fig2|fig3|fig4|fig5|mapreduce|taskfarm|fireworks|weekstats|webload|all)")
 	scaleName := flag.String("scale", "full", "experiment scale (small|full)")
-	failoverOut := flag.String("failover-out", "BENCH_failover.json", "failover mode: SLO-gated chaos results file")
 	webloadOut := flag.String("webload-out", "BENCH_webload.json", "webload mode: open-loop HTTP load results file")
-	ingestOut := flag.String("ingest-out", "BENCH_ingest.json", "ingest mode: batched-vs-singleton durable write results file")
-	ingestMin := flag.Float64("ingest-min-speedup", 5, "ingest mode: minimum batched-over-sequential speedup; under it the run fails")
-	rate := flag.Float64("rate", 150, "open-loop arrival rate in queries/sec (failover, webload)")
-	loadDur := flag.Duration("load-duration", 4*time.Second, "open-loop load window (failover, webload)")
-	maxStale := flag.Int("max-staleness", 4, "staleness budget in generations for follower reads (failover, webload)")
-	sloP99 := flag.Float64("slo-p99-ms", 250, "p99 latency budget; exceeding it fails the run (failover, webload)")
+	rate := flag.Float64("rate", 150, "webload mode: open-loop arrival rate in queries/sec")
+	loadDur := flag.Duration("load-duration", 4*time.Second, "webload mode: open-loop load window")
+	maxStale := flag.Int("max-staleness", 4, "webload mode: staleness budget in generations for follower reads")
+	sloP99 := flag.Float64("slo-p99-ms", 250, "webload mode: p99 latency budget; exceeding it fails the run")
 	urlFlag := flag.String("url", "", "webload mode: base URL of a running mpserve deployment")
 	apiKey := flag.String("api-key", "", "webload mode: API key (empty = self-signup)")
 	probeGroups := flag.Int("probe-groups", 2, "webload mode: target's shard group count (staleness slack)")
@@ -125,21 +124,8 @@ func main() {
 			fmt.Printf("  queries: %d\n  records: %d\n", r.Queries, r.Records)
 			return nil
 		},
-		// failover is the in-process SLO-gated chaos run: open-loop load
-		// over a 2×2 cluster while a replica is killed and re-admitted
-		// via log catch-up. Writes BENCH_failover.json; fails on a p99
-		// or staleness-bound breach.
-		"failover": func() error {
-			return runFailoverBench(*failoverOut, *rate, *loadDur, *maxStale, *sloP99)
-		},
-		// ingest writes the group-commit ingest throughput comparison
-		// (sequential vs coalesced-concurrent vs batched durable writes)
-		// into BENCH_ingest.json, gated on -ingest-min-speedup.
-		"ingest": func() error {
-			return runIngestBench(*ingestOut, *ingestMin)
-		},
 		// webload drives a running mpserve deployment (-url) with the
-		// same open-loop mix over HTTP, gating on p99 and staleness.
+		// open-loop web-query mix over HTTP, gating on p99 and staleness.
 		"webload": func() error {
 			return runWebloadBench(*webloadOut, *urlFlag, *apiKey, *rate, *loadDur, *maxStale, *probeGroups, *sloP99)
 		},
@@ -165,8 +151,8 @@ func main() {
 	}
 }
 
-// writeJSON writes v to path as indented JSON (the gate experiments'
-// result artifacts).
+// writeJSON writes v to path as indented JSON (the webload result
+// artifact).
 func writeJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {

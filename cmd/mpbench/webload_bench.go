@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +86,9 @@ func runWebloadBench(out, url, apiKey string, rate float64, dur time.Duration,
 		return err
 	}
 
+	// A fresh tag per run keeps this run's probes apart from any an
+	// earlier run left in the deployment.
+	run := strconv.FormatInt(time.Now().UnixNano(), 36)
 	var probe webload.Probe
 	var probesAcked, probeReads, violations atomic.Int64
 	stopProbes := make(chan struct{})
@@ -100,7 +104,7 @@ func runWebloadBench(out, url, apiKey string, rate float64, dur time.Duration,
 			case <-time.After(8 * time.Millisecond):
 			}
 			seq++
-			if _, err := c.Insert("materials", webload.ProbeDoc(seq)); err != nil {
+			if _, err := c.Insert("materials", webload.ProbeDoc(run, seq)); err != nil {
 				continue
 			}
 			probe.Ack(seq)
@@ -117,7 +121,7 @@ func runWebloadBench(out, url, apiKey string, rate float64, dur time.Duration,
 			case <-time.After(10 * time.Millisecond):
 			}
 			acked := probe.Acked()
-			docs, err := c.QueryWith(document.D(webload.ProbeFilter()), nil, opts)
+			docs, err := c.QueryWith(webload.ProbeFilter(run), nil, opts)
 			if err != nil {
 				continue
 			}
@@ -182,6 +186,9 @@ func runWebloadBench(out, url, apiKey string, rate float64, dur time.Duration,
 	}
 	if result.Violations > 0 {
 		return fmt.Errorf("webload: %d probe reads observed data older than the staleness bound", result.Violations)
+	}
+	if result.ProbesAcked == 0 {
+		return fmt.Errorf("webload: no probe write was acknowledged, so the staleness check had nothing to check")
 	}
 	if result.ProbeReads == 0 {
 		return fmt.Errorf("webload: the staleness prober never completed a read")

@@ -301,7 +301,7 @@ func TestFollowerReadsRespectStalenessBound(t *testing.T) {
 	go func() {
 		defer close(writerDone)
 		for i := int64(1); i <= probes; i++ {
-			if _, err := routed.Insert(document.D(webload.ProbeDoc(i))); err != nil {
+			if _, err := routed.Insert(document.D(webload.ProbeDoc("t", i))); err != nil {
 				t.Errorf("probe insert %d: %v", i, err)
 				return
 			}
@@ -323,7 +323,7 @@ func TestFollowerReadsRespectStalenessBound(t *testing.T) {
 				default:
 				}
 				acked := probe.Acked()
-				docs, err := routed.FindAll(webload.ProbeFilter(), webload.ProbeOpts(maxStale))
+				docs, err := routed.FindAll(webload.ProbeFilter("t"), webload.ProbeOpts(maxStale))
 				if err != nil {
 					continue // outage window; availability is not under test here
 				}

@@ -26,12 +26,12 @@ import (
 	"matproj/internal/cluster/wire"
 )
 
-// DefaultBatch bounds entries per pull round.
-const DefaultBatch = 512
+// pullBatch bounds entries per catch-up pull round.
+const pullBatch = 512
 
-// DefaultMaxRounds bounds catch-up pull rounds before giving up (the
-// health loop retries on its next sweep).
-const DefaultMaxRounds = 64
+// maxRounds bounds catch-up pull rounds before giving up (the health
+// loop retries on its next sweep).
+const maxRounds = 64
 
 // Client speaks the repl protocol against node base URLs. The zero
 // value is usable.
@@ -41,10 +41,6 @@ type Client struct {
 	// fault-instrumented call path: catch-up traffic is not part of the
 	// request plane.
 	HTTP *http.Client
-	// Batch is the per-pull entry cap (<=0 selects DefaultBatch).
-	Batch int
-	// MaxRounds caps catch-up iterations (<=0 selects DefaultMaxRounds).
-	MaxRounds int
 }
 
 func (c *Client) http() *http.Client {
@@ -52,20 +48,6 @@ func (c *Client) http() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) batch() int {
-	if c.Batch > 0 {
-		return c.Batch
-	}
-	return DefaultBatch
-}
-
-func (c *Client) maxRounds() int {
-	if c.MaxRounds > 0 {
-		return c.MaxRounds
-	}
-	return DefaultMaxRounds
 }
 
 // parseHead decodes the X-Repl-Head response header.
@@ -221,8 +203,8 @@ type Result struct {
 func (c *Client) CatchUp(src, dst string, from uint64) (Result, error) {
 	var res Result
 	stalls := 0
-	for round := 0; round < c.maxRounds(); round++ {
-		lines, head, gone, err := c.Pull(src, from, c.batch())
+	for round := 0; round < maxRounds; round++ {
+		lines, head, gone, err := c.Pull(src, from, pullBatch)
 		if err != nil {
 			return res, err
 		}
@@ -275,5 +257,5 @@ func (c *Client) CatchUp(src, dst string, from uint64) (Result, error) {
 		}
 		from = ack.Gen
 	}
-	return res, fmt.Errorf("replog: catch-up %s -> %s: did not converge within %d rounds", src, dst, c.maxRounds())
+	return res, fmt.Errorf("replog: catch-up %s -> %s: did not converge within %d rounds", src, dst, maxRounds)
 }

@@ -64,27 +64,14 @@ type RouterOptions struct {
 	// Tracer receives slow-op observations (partial replication detail
 	// lands here). Nil = no-op.
 	Tracer *obs.Tracer
-	// ReadRetries is how many extra rounds a read attempts after
-	// exhausting a group's healthy members to a transient transport
-	// error; each round re-probes the group first so dropped-packet
-	// blips self-heal without waiting for the health loop. Negative
-	// disables retries; 0 selects the default (2).
-	ReadRetries int
-	// RetryBackoff is the base delay between read retry rounds (doubled
-	// per round, jittered; 0 selects 10ms). Sleeps go through Clock.
-	RetryBackoff time.Duration
-	// Seed drives the retry jitter (0 selects 1). Deterministic given
-	// the same seed and schedule.
-	Seed int64
-	// CatchUpBatch caps log entries per catch-up pull round (0 selects
-	// replog.DefaultBatch).
-	CatchUpBatch int
 }
 
-// defaultReadRetries and defaultRetryBackoff pace the read retry path.
+// readRetries and retryBackoff pace the read retry path: up to
+// readRetries extra rounds, the backoff doubling from retryBackoff per
+// round (see readOnGroupStale).
 const (
-	defaultReadRetries  = 2
-	defaultRetryBackoff = 10 * time.Millisecond
+	readRetries  = 2
+	retryBackoff = 10 * time.Millisecond
 )
 
 // member is one node endpoint as the router sees it.
@@ -138,9 +125,6 @@ type Router struct {
 	// request-plane concern.
 	repl *replog.Client
 
-	retries int
-	backoff time.Duration
-
 	// rng jitters retry backoff; seeded for determinism, mutex-guarded
 	// (rand.Rand is not concurrency-safe).
 	rngMu sync.Mutex
@@ -162,15 +146,14 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs at least one shard group")
 	}
 	r := &Router{
-		client:  opts.Client,
-		reg:     opts.Registry,
-		tracer:  opts.Tracer,
-		clock:   opts.Clock,
-		rc:      opts.Cache,
-		gens:    shardGens{m: make(map[string][]*atomic.Uint64), n: len(opts.Groups)},
-		retries: opts.ReadRetries,
-		backoff: opts.RetryBackoff,
-		stopCh:  make(chan struct{}),
+		client: opts.Client,
+		reg:    opts.Registry,
+		tracer: opts.Tracer,
+		clock:  opts.Clock,
+		rc:     opts.Cache,
+		gens:   shardGens{m: make(map[string][]*atomic.Uint64), n: len(opts.Groups)},
+		rng:    rand.New(rand.NewSource(1)),
+		stopCh: make(chan struct{}),
 	}
 	if r.clock == nil {
 		r.clock = vclock.Wall
@@ -178,20 +161,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if r.client == nil {
 		r.client = &http.Client{Timeout: 5 * time.Second}
 	}
-	if r.retries == 0 {
-		r.retries = defaultReadRetries
-	} else if r.retries < 0 {
-		r.retries = 0
-	}
-	if r.backoff <= 0 {
-		r.backoff = defaultRetryBackoff
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	r.rng = rand.New(rand.NewSource(seed))
-	r.repl = &replog.Client{HTTP: r.client, Batch: opts.CatchUpBatch}
+	r.repl = &replog.Client{HTTP: r.client}
 	for gi, urls := range opts.Groups {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("cluster: shard group %d has no members", gi)
@@ -377,7 +347,7 @@ func (r *Router) readOnGroup(gi int, path string, req, out any) error {
 // healthy members to transport failures the router sleeps a jittered,
 // doubling backoff, re-probes the group (transient blips self-heal
 // without waiting for the health loop), and tries again — up to
-// ReadRetries extra rounds. Remote op errors never retry.
+// readRetries extra rounds. Remote op errors never retry.
 func (r *Router) readOnGroupStale(gi int, path string, req, out any, maxStale int) error {
 	var lastErr error
 	for round := 0; ; round++ {
@@ -386,11 +356,11 @@ func (r *Router) readOnGroupStale(gi int, path string, req, out any, maxStale in
 			return err
 		}
 		lastErr = err
-		if round >= r.retries {
+		if round >= readRetries {
 			break
 		}
 		r.reg.Counter("cluster.read_retries_total").Inc()
-		r.clock.Sleep(r.jitter(r.backoff << round))
+		r.clock.Sleep(r.jitter(retryBackoff << round))
 		r.checkGroupNow(gi)
 	}
 	return lastErr

@@ -8,6 +8,7 @@ import (
 
 	"matproj/internal/document"
 	"matproj/internal/faults"
+	"matproj/internal/obs"
 )
 
 // Group-commit regression and chaos tests: the batched journal must ack
@@ -348,5 +349,65 @@ func TestConcurrentBatchedWriteStress(t *testing.T) {
 	got, _ := s2.C("x").Count(nil)
 	if got != want {
 		t.Fatalf("replayed count = %d, want %d", got, want)
+	}
+}
+
+// TestBatchedWritesShareOneFsync pins the group-commit cost model by
+// counting fsyncs instead of timing them: a batch's journal records
+// ride one commit, so InsertMany and BulkWrite cost one fsync however
+// many documents they carry, while sequential singleton inserts pay one
+// each.
+func TestBatchedWritesShareOneFsync(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.Observe(reg, nil)
+	c := s.C("tasks")
+	fsyncs := func() uint64 {
+		return reg.Snapshot().Histograms["datastore.journal.fsync_ms"].Count
+	}
+	cost := func(name string, write func() error) uint64 {
+		t.Helper()
+		before := fsyncs()
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return fsyncs() - before
+	}
+
+	docs := make([]document.D, 500)
+	for i := range docs {
+		docs[i] = document.D{"_id": fmt.Sprintf("many-%d", i), "n": int64(i)}
+	}
+	if got := cost("InsertMany", func() error { _, err := c.InsertMany(docs); return err }); got != 1 {
+		t.Errorf("InsertMany of 500 docs cost %d fsyncs, want 1", got)
+	}
+
+	ops := make([]BulkOp, 500)
+	for i := range ops {
+		ops[i] = BulkOp{Op: BulkInsert, Doc: document.D{"_id": fmt.Sprintf("bulk-%d", i), "n": int64(i)}}
+	}
+	if got := cost("BulkWrite", func() error {
+		res, err := c.BulkWrite(ops)
+		if err == nil && res.Inserted != len(ops) {
+			err = fmt.Errorf("inserted %d of %d", res.Inserted, len(ops))
+		}
+		return err
+	}); got != 1 {
+		t.Errorf("BulkWrite of 500 inserts cost %d fsyncs, want 1", got)
+	}
+
+	if got := cost("Insert", func() error {
+		for i := 0; i < 100; i++ {
+			if _, err := c.Insert(document.D{"_id": fmt.Sprintf("one-%d", i)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); got != 100 {
+		t.Errorf("100 sequential inserts cost %d fsyncs, want 100", got)
 	}
 }

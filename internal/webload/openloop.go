@@ -5,8 +5,8 @@
 // flattering. The open-loop runner here dispatches at a fixed arrival
 // rate regardless of completions — the honest way to measure tail
 // latency under failure (queries queue up behind a stall instead of
-// politely waiting it out), which is what the Fig. 5 reproduction and
-// the failover SLO gate need.
+// politely waiting it out), which is what the mpbench webload SLO gate
+// needs.
 package webload
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
-	"matproj/internal/obs"
 	"matproj/internal/vclock"
 )
 
@@ -52,11 +51,6 @@ type OpenLoopConfig struct {
 	// Duration bounds the dispatch window; the total query count is
 	// Rate * Duration (the runner then drains in-flight queries).
 	Duration time.Duration
-	// Clock paces dispatch; nil uses the wall clock.
-	Clock vclock.Clock
-	// Reg, when set, records each latency in the "webload.query_ms"
-	// histogram (Fig. 5 buckets) as the run progresses.
-	Reg *obs.Registry
 }
 
 // OpenLoopResult summarizes a run.
@@ -78,10 +72,6 @@ func (g *Generator) RunOpenLoop(exec Exec, cfg OpenLoopConfig) (*OpenLoopResult,
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("webload: open-loop rate must be positive, got %g", cfg.Rate)
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = vclock.Wall
-	}
 	interval := time.Duration(float64(time.Second) / cfg.Rate)
 	if interval <= 0 {
 		interval = time.Nanosecond
@@ -90,17 +80,12 @@ func (g *Generator) RunOpenLoop(exec Exec, cfg OpenLoopConfig) (*OpenLoopResult,
 	if total <= 0 {
 		total = 1
 	}
-	var hist *obs.Histogram
-	if cfg.Reg != nil {
-		hist = cfg.Reg.LatencyHistogram("webload.query_ms")
-	}
-
 	res := &OpenLoopResult{Samples: make([]Sample, 0, total)}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var errs, records atomic.Int64
 
-	ticker := clock.NewTicker(interval)
+	ticker := vclock.Wall.NewTicker(interval)
 	defer ticker.Stop()
 	for i := 0; i < total; i++ {
 		if i > 0 {
@@ -118,9 +103,6 @@ func (g *Generator) RunOpenLoop(exec Exec, cfg OpenLoopConfig) (*OpenLoopResult,
 				errs.Add(1)
 			} else {
 				records.Add(int64(returned))
-			}
-			if hist != nil {
-				hist.ObserveDuration(lat)
 			}
 			mu.Lock()
 			res.Samples = append(res.Samples, Sample{Kind: q.Kind, Latency: lat, Returned: returned, Seq: seq})
@@ -178,19 +160,23 @@ func (p *Probe) Ack(seq int64) {
 // Acked returns the highest acknowledged probe sequence.
 func (p *Probe) Acked() int64 { return p.acked.Load() }
 
-// ProbeDoc builds the probe document for sequence seq. The fixed _id
-// makes re-runs idempotent per seq; probe docs are the only writes the
-// staleness check assumes during a run.
-func ProbeDoc(seq int64) map[string]any {
+// ProbeDoc builds run's probe document for sequence seq. The run tag is
+// in the _id, so a second run against the same deployment writes fresh
+// probes instead of failing every insert as a duplicate (and so never
+// acking one), and in the probe field, so ProbeFilter sees only this
+// run's probes: an earlier run's higher sequences would mask a stale
+// read. Probe docs are the only writes the staleness check assumes
+// during a run.
+func ProbeDoc(run string, seq int64) map[string]any {
 	return map[string]any{
-		"_id":       fmt.Sprintf("probe-%d", seq),
-		"probe":     true,
+		"_id":       fmt.Sprintf("probe-%s-%d", run, seq),
+		"probe":     run,
 		"probe_seq": seq,
 	}
 }
 
-// ProbeFilter matches all probe docs.
-func ProbeFilter() document.D { return document.D{"probe": true} }
+// ProbeFilter matches run's probe docs.
+func ProbeFilter(run string) document.D { return document.D{"probe": run} }
 
 // ProbeOpts asks for the single freshest probe, routed with the given
 // staleness budget.

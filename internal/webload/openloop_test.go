@@ -6,7 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"matproj/internal/obs"
+	"matproj/internal/datastore"
+	"matproj/internal/document"
 )
 
 func TestVocabGenerator(t *testing.T) {
@@ -49,7 +50,6 @@ func TestRunOpenLoopDispatchesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls, fails atomic.Int64
-	reg := obs.NewRegistry()
 	res, err := g.RunOpenLoop(func(q Query) (int, error) {
 		n := calls.Add(1)
 		if n%5 == 0 {
@@ -57,7 +57,7 @@ func TestRunOpenLoopDispatchesAll(t *testing.T) {
 			return 0, fmt.Errorf("synthetic failure")
 		}
 		return 2, nil
-	}, OpenLoopConfig{Rate: 2000, Duration: 40 * time.Millisecond, Reg: reg})
+	}, OpenLoopConfig{Rate: 2000, Duration: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +76,6 @@ func TestRunOpenLoopDispatchesAll(t *testing.T) {
 	}
 	if res.Records != (res.Sent-res.Errors)*2 {
 		t.Fatalf("records %d, want %d", res.Records, (res.Sent-res.Errors)*2)
-	}
-	if h, ok := reg.Snapshot().Histograms["webload.query_ms"]; !ok || h.Count != uint64(res.Sent) {
-		t.Fatalf("histogram count mismatch: %+v", h)
 	}
 	if _, err := g.RunOpenLoop(func(Query) (int, error) { return 0, nil }, OpenLoopConfig{Rate: 0}); err == nil {
 		t.Fatal("expected error for zero rate")
@@ -140,12 +137,38 @@ func TestProbeViolationBound(t *testing.T) {
 }
 
 func TestProbeDocShape(t *testing.T) {
-	d := ProbeDoc(42)
-	if d["_id"] != "probe-42" || d["probe"] != true {
+	d := ProbeDoc("r1", 42)
+	if d["_id"] != "probe-r1-42" || d["probe"] != "r1" || d["probe_seq"] != int64(42) {
 		t.Fatalf("bad probe doc: %v", d)
 	}
 	opts := ProbeOpts(4)
 	if opts.MaxStaleness != 4 || opts.Limit != 1 || len(opts.Sort) != 1 || opts.Sort[0] != "-probe_seq" {
 		t.Fatalf("bad probe opts: %+v", opts)
+	}
+}
+
+// TestProbeRunsDoNotCollide replays two probe runs against one store:
+// the second run's inserts must not collide with the first's ids, and
+// its probe read must see only its own (lower) sequences.
+func TestProbeRunsDoNotCollide(t *testing.T) {
+	mats := datastore.MustOpenMemory().C("materials")
+	for seq := int64(1); seq <= 5; seq++ {
+		if _, err := mats.Insert(document.D(ProbeDoc("first", seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := int64(1); seq <= 3; seq++ {
+		if _, err := mats.Insert(document.D(ProbeDoc("second", seq))); err != nil {
+			t.Fatalf("second run's probe %d: %v", seq, err)
+		}
+	}
+	for run, want := range map[string]int64{"first": 5, "second": 3} {
+		docs, err := mats.FindAll(ProbeFilter(run), ProbeOpts(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ObservedSeq(docs); got != want {
+			t.Errorf("run %s observed seq %d, want %d", run, got, want)
+		}
 	}
 }
