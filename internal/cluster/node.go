@@ -233,7 +233,12 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	docs, err := n.store.C(req.Collection).Aggregate(wire.NormalizePipeline(req.Pipeline))
+	c, pipeline := n.store.C(req.Collection), wire.NormalizePipeline(req.Pipeline)
+	run := c.Aggregate
+	if req.Partial {
+		run = c.AggregatePartial
+	}
+	docs, err := run(pipeline)
 	if err != nil {
 		return fmt.Errorf("cluster: aggregate %s: %w", req.Collection, err)
 	}

@@ -1004,47 +1004,6 @@ func (r *Router) distinct(collection, path string, filter document.D) ([]any, er
 	return mergeDistinct(lists), nil
 }
 
-// aggregate runs a pipeline over the cluster. When a leading $match pins
-// the shard key to one group, the whole pipeline is pushed down to that
-// node. Otherwise the leading $match (if any) is pushed down as a find
-// filter, the matching documents are gathered, and the remaining stages
-// run at the router via the datastore's own pipeline executor — so
-// cross-shard $group/$sort results are identical to a standalone store.
-func (r *Router) aggregate(collection string, pipeline []document.D) ([]document.D, error) {
-	var matchFilter document.D
-	rest := pipeline
-	if len(pipeline) > 0 {
-		if m, ok := pipeline[0]["$match"]; ok {
-			if md, ok := toDoc(m); ok {
-				matchFilter = md
-				rest = pipeline[1:]
-			}
-		}
-	}
-	targets, err := r.targets(matchFilter)
-	if err != nil {
-		return nil, err
-	}
-	if len(targets) == 1 {
-		// Single-shard: full pushdown.
-		var resp wire.DocsResponse
-		wp := make([]map[string]any, len(pipeline))
-		for i, st := range pipeline {
-			wp[i] = map[string]any(st)
-		}
-		req := wire.AggregateRequest{Collection: collection, Pipeline: wp}
-		if err := r.readOnGroup(targets[0], wire.PathAggregate, req, &resp); err != nil {
-			return nil, err
-		}
-		return resp.NormalizedDocs(), nil
-	}
-	docs, err := r.findAll(collection, matchFilter, nil)
-	if err != nil {
-		return nil, err
-	}
-	return datastore.RunPipeline(docs, rest)
-}
-
 // wireMap converts a document to its wire form (nil stays nil).
 func wireMap(d document.D) map[string]any {
 	if d == nil {

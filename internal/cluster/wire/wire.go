@@ -286,10 +286,14 @@ type RemoveRequest struct {
 	Filter     map[string]any `json:"filter,omitempty"`
 }
 
-// AggregateRequest runs a (pre-sanitized) pipeline on a node.
+// AggregateRequest runs a (pre-sanitized) pipeline on a node. With
+// Partial set, the pipeline ends in a splittable $group or $count
+// (datastore.Splittable) and the node answers with that stage's partial
+// state rows (datastore.AggregatePartial) for the router to combine.
 type AggregateRequest struct {
 	Collection string           `json:"collection"`
 	Pipeline   []map[string]any `json:"pipeline"`
+	Partial    bool             `json:"partial,omitempty"`
 }
 
 // DistinctRequest lists distinct values of a path.

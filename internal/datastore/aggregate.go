@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"matproj/internal/document"
@@ -41,6 +42,26 @@ func (c *Collection) Aggregate(pipeline []document.D) ([]document.D, error) {
 		}
 	}
 	return RunPipeline(docs, pipeline[start:])
+}
+
+// AggregatePartial runs a pipeline whose last stage is splittable (see
+// Splittable) and returns that stage's partial state rows (RunPartial)
+// instead of its result. A router runs it on every shard and folds the
+// rows with CombinePartial.
+func (c *Collection) AggregatePartial(pipeline []document.D) ([]document.D, error) {
+	if len(pipeline) == 0 {
+		return nil, fmt.Errorf("datastore: partial aggregation needs a stage")
+	}
+	last := len(pipeline) - 1
+	docs, err := c.Aggregate(pipeline[:last])
+	if err != nil {
+		return nil, err
+	}
+	out, err := RunPartial(docs, pipeline[last])
+	if err != nil {
+		return nil, fmt.Errorf("datastore: stage %d: %w", last, err)
+	}
+	return out, nil
 }
 
 // RunPipeline applies aggregation stages to an in-memory document slice
@@ -314,7 +335,12 @@ func applyArith(op string, args []float64) (any, error) {
 	return nil, fmt.Errorf("unknown arithmetic %q", op)
 }
 
-// groupAccumulator folds values for one group key.
+// groupAccumulator folds values for one group key. Its state can also
+// leave the process: export renders it as a state document,
+// importAccumulator reads one back, and merge folds another
+// accumulator of the same operator into this one. That is the
+// partial/combine contract a routed $group runs on (RunPartial,
+// CombinePartial); $group itself is accumulate then finalize.
 type groupAccumulator struct {
 	op   string
 	expr any
@@ -426,7 +452,105 @@ func (a *groupAccumulator) result() any {
 	return nil
 }
 
-func stageGroup(docs []document.D, body any) ([]document.D, error) {
+// splittableOps are the accumulators whose state merges independently
+// of document order.
+var splittableOps = map[string]bool{"$sum": true, "$avg": true, "$min": true, "$max": true, "$count": true}
+
+// export renders a splittable accumulator's state: "n" is the count,
+// "s" the running sum ($sum, $avg; a string such as "+Inf" once it has
+// overflowed, since JSON has no infinities) and "v" the extreme value
+// ($min, $max; absent until a non-null value arrives).
+func (a *groupAccumulator) export() document.D {
+	st := document.D{"n": a.count}
+	switch a.op {
+	case "$sum", "$avg":
+		st["s"] = a.sum
+		if math.IsInf(a.sum, 0) || math.IsNaN(a.sum) {
+			st["s"] = strconv.FormatFloat(a.sum, 'g', -1, 64)
+		}
+	case "$min":
+		if a.seen {
+			st["v"] = a.min
+		}
+	case "$max":
+		if a.seen {
+			st["v"] = a.max
+		}
+	}
+	return st
+}
+
+// importAccumulator rebuilds an op accumulator from a state document
+// written by export.
+func importAccumulator(op string, state any) (*groupAccumulator, error) {
+	st, ok := asDoc(state)
+	if !ok {
+		return nil, fmt.Errorf("%s state must be a document, got %T", op, state)
+	}
+	a := &groupAccumulator{op: op}
+	if a.count, ok = st["n"].(int64); !ok {
+		return nil, fmt.Errorf("%s state: count must be an integer, got %T", op, st["n"])
+	}
+	switch op {
+	case "$sum", "$avg":
+		if a.sum, ok = document.AsFloat(st["s"]); ok {
+			break
+		}
+		str, _ := st["s"].(string)
+		var err error
+		if a.sum, err = strconv.ParseFloat(str, 64); err != nil {
+			return nil, fmt.Errorf("%s state: sum must be a number, got %T", op, st["s"])
+		}
+	case "$min", "$max":
+		if v := st["v"]; v != nil {
+			a.min, a.max, a.seen = v, v, true
+		}
+	}
+	return a, nil
+}
+
+// merge folds b, an accumulator of the same operator, into a: the
+// result is as if a had also seen b's documents.
+func (a *groupAccumulator) merge(b *groupAccumulator) {
+	a.count += b.count
+	a.sum += b.sum
+	if !b.seen {
+		return
+	}
+	switch a.op {
+	case "$min":
+		if !a.seen || document.Compare(b.min, a.min) < 0 {
+			a.min, a.seen = b.min, true
+		}
+	case "$max":
+		if !a.seen || document.Compare(b.max, a.max) > 0 {
+			a.max, a.seen = b.max, true
+		}
+	}
+}
+
+// groupField is one output field of a $group: name ← op(expr).
+type groupField struct {
+	name string
+	op   string
+	expr any
+}
+
+// groupTable holds one $group's accumulators, one set per group key.
+// Keys are identified by their JSON rendering, which also fixes the
+// output order.
+type groupTable struct {
+	idExpr any
+	fields []groupField // in name order
+	groups map[string]*groupState
+}
+
+type groupState struct {
+	key  any
+	accs []*groupAccumulator
+}
+
+func newGroupTable(body any) (*groupTable, error) {
 	spec, ok := asDoc(body)
 	if !ok {
 		return nil, fmt.Errorf("$group requires a document")
@@ -435,12 +559,7 @@ func stageGroup(docs []document.D, body any) ([]document.D, error) {
 	if !hasID {
 		return nil, fmt.Errorf("$group requires an _id expression")
 	}
-	type fieldSpec struct {
-		name string
-		op   string
-		expr any
-	}
-	var fields []fieldSpec
+	t := &groupTable{idExpr: idExpr, groups: map[string]*groupState{}}
 	names := make([]string, 0, len(spec))
 	for name := range spec {
 		if name != "_id" {
@@ -459,52 +578,172 @@ func stageGroup(docs []document.D, body any) ([]document.D, error) {
 			default:
 				return nil, fmt.Errorf("$group field %q: unknown accumulator %q", name, op)
 			}
-			fields = append(fields, fieldSpec{name: name, op: op, expr: expr})
+			t.fields = append(t.fields, groupField{name: name, op: op, expr: expr})
 		}
 	}
+	return t, nil
+}
 
-	type groupState struct {
-		key  any
-		accs []*groupAccumulator
+// slot returns key's group, creating it on first sight.
+func (t *groupTable) slot(key any) (*groupState, error) {
+	kb, err := document.D{"k": key}.ToJSON()
+	if err != nil {
+		return nil, err
 	}
-	groups := map[string]*groupState{}
-	var order []string
+	k := string(kb)
+	g, ok := t.groups[k]
+	if !ok {
+		g = &groupState{key: key}
+		for _, f := range t.fields {
+			g.accs = append(g.accs, &groupAccumulator{op: f.op, expr: f.expr})
+		}
+		t.groups[k] = g
+	}
+	return g, nil
+}
+
+// accumulate folds docs into the table.
+func (t *groupTable) accumulate(docs []document.D) error {
 	for _, d := range docs {
-		keyVal, err := evalExpr(idExpr, d)
+		key, err := evalExpr(t.idExpr, d)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		kb, err := document.D{"k": keyVal}.ToJSON()
+		g, err := t.slot(key)
 		if err != nil {
-			return nil, err
-		}
-		k := string(kb)
-		g, ok := groups[k]
-		if !ok {
-			g = &groupState{key: keyVal}
-			for _, f := range fields {
-				g.accs = append(g.accs, &groupAccumulator{op: f.op, expr: f.expr})
-			}
-			groups[k] = g
-			order = append(order, k)
+			return err
 		}
 		for _, acc := range g.accs {
 			if err := acc.add(d); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	sort.Strings(order)
-	out := make([]document.D, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		nd := document.D{"_id": g.key}
-		for i, f := range fields {
-			nd[f.name] = document.Normalize(g.accs[i].result())
-		}
-		out = append(out, nd)
+	return nil
+}
+
+// rows emits one {"_id": key, <field>: out(acc)} row per group, in
+// sorted-key order.
+func (t *groupTable) rows(out func(*groupAccumulator) any) []document.D {
+	keys := make([]string, 0, len(t.groups))
+	for k := range t.groups {
+		keys = append(keys, k)
 	}
-	return out, nil
+	sort.Strings(keys)
+	rows := make([]document.D, 0, len(keys))
+	for _, k := range keys {
+		g := t.groups[k]
+		nd := document.D{"_id": g.key}
+		for i, f := range t.fields {
+			nd[f.name] = out(g.accs[i])
+		}
+		rows = append(rows, nd)
+	}
+	return rows
+}
+
+func finalize(a *groupAccumulator) any { return document.Normalize(a.result()) }
+
+func exportState(a *groupAccumulator) any { return a.export() }
+
+func stageGroup(docs []document.D, body any) ([]document.D, error) {
+	t, err := newGroupTable(body)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.accumulate(docs); err != nil {
+		return nil, err
+	}
+	return t.rows(finalize), nil
+}
+
+// Splittable reports whether a stage can run as partial state over
+// disjoint parts of its input plus a combine: a $count, or a $group
+// whose accumulators are all $sum, $avg, $min, $max or $count. The
+// order-dependent accumulators ($first, $last, $push, $addToSet) are
+// not splittable.
+func Splittable(stage document.D) bool {
+	if len(stage) != 1 {
+		return false
+	}
+	if name, ok := stage["$count"].(string); ok {
+		return name != ""
+	}
+	body, ok := stageBody(stage, "$group")
+	if !ok {
+		return false
+	}
+	t, err := newGroupTable(body)
+	if err != nil {
+		return false
+	}
+	for _, f := range t.fields {
+		if !splittableOps[f.op] {
+			return false
+		}
+	}
+	return true
+}
+
+// RunPartial runs a splittable stage over one part of its input and
+// returns the part's state rows: for $group, one {"_id": key, <field>:
+// state} row per group key, where state is the accumulator's export
+// ({"n": count, "s": sum} or {"n": count, "v": extreme}); for $count,
+// one {"n": count} row.
+func RunPartial(docs []document.D, stage document.D) ([]document.D, error) {
+	if !Splittable(stage) {
+		return nil, fmt.Errorf("datastore: stage %v cannot run as partial state", stage)
+	}
+	if _, ok := stage["$count"]; ok {
+		a := &groupAccumulator{op: "$count", count: int64(len(docs))}
+		return []document.D{a.export()}, nil
+	}
+	t, err := newGroupTable(stage["$group"])
+	if err != nil {
+		return nil, err
+	}
+	if err := t.accumulate(docs); err != nil {
+		return nil, err
+	}
+	return t.rows(exportState), nil
+}
+
+// CombinePartial merges the state rows RunPartial produced for stage
+// over disjoint parts and finalizes them. The result is the stage run
+// over the union of the parts, rows in $group's sorted-key order.
+func CombinePartial(stage document.D, states []document.D) ([]document.D, error) {
+	if !Splittable(stage) {
+		return nil, fmt.Errorf("datastore: stage %v cannot combine partial state", stage)
+	}
+	if name, ok := stage["$count"].(string); ok {
+		total := &groupAccumulator{op: "$count"}
+		for _, st := range states {
+			a, err := importAccumulator("$count", st)
+			if err != nil {
+				return nil, err
+			}
+			total.merge(a)
+		}
+		return []document.D{{name: total.result()}}, nil
+	}
+	t, err := newGroupTable(stage["$group"])
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range states {
+		g, err := t.slot(row["_id"])
+		if err != nil {
+			return nil, err
+		}
+		for i, f := range t.fields {
+			a, err := importAccumulator(f.op, row[f.name])
+			if err != nil {
+				return nil, fmt.Errorf("$group field %q: %w", f.name, err)
+			}
+			g.accs[i].merge(a)
+		}
+	}
+	return t.rows(finalize), nil
 }
 
 func stageSort(docs []document.D, body any) ([]document.D, error) {

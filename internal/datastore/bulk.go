@@ -82,6 +82,10 @@ func (c *Collection) BulkWrite(ops []BulkOp) (BulkResult, error) {
 	var p pendingCommit
 	mutated := 0
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return res, ErrClosed
+	}
 	for i := range compiled {
 		co := &compiled[i]
 		r := &res.PerOp[i]

@@ -133,6 +133,10 @@ func (c *Collection) Insert(doc document.D) (string, error) {
 		d["_id"] = id
 	}
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return "", ErrClosed
+	}
 	if _, exists := c.docs[id]; exists {
 		c.mu.Unlock()
 		return "", fmt.Errorf("%w: %q in %q", ErrDuplicateID, id, c.name)
@@ -178,6 +182,10 @@ func (c *Collection) InsertMany(docs []document.D) ([]string, error) {
 	}
 	var p pendingCommit
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return nil, ErrClosed
+	}
 	for _, id := range ids {
 		if _, exists := c.docs[id]; exists {
 			c.mu.Unlock()
@@ -479,6 +487,10 @@ func (c *Collection) update(filter, update document.D, many bool) (UpdateResult,
 	var p pendingCommit
 	var opErr error
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return UpdateResult{}, ErrClosed
+	}
 	for _, id := range c.scanLocked(flt) {
 		res.Matched++
 		cur := c.docs[id]
@@ -527,6 +539,10 @@ func (c *Collection) Upsert(filter, update document.D) (string, error) {
 	}
 	start := time.Now()
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return "", ErrClosed
+	}
 	ids := c.scanLocked(flt)
 	if len(ids) > 0 {
 		id := ids[0]
@@ -600,6 +616,10 @@ func (c *Collection) FindAndModify(filter, update document.D, sortSpec []string,
 		return nil, err
 	}
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return nil, ErrClosed
+	}
 	ids := c.scanLocked(flt)
 	if len(ids) == 0 {
 		c.mu.Unlock()
@@ -646,6 +666,10 @@ func (c *Collection) Remove(filter document.D) (int, error) {
 	}
 	var p pendingCommit
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return 0, ErrClosed
+	}
 	ids := c.scanLocked(flt)
 	for _, id := range ids {
 		c.removeLocked(id)
@@ -662,6 +686,10 @@ func (c *Collection) Remove(filter document.D) (int, error) {
 // RemoveID deletes one document by id.
 func (c *Collection) RemoveID(id string) error {
 	c.mu.Lock()
+	if c.storeClosed() {
+		c.mu.Unlock()
+		return ErrClosed
+	}
 	_, ok := c.docs[id]
 	if !ok {
 		c.mu.Unlock()
@@ -758,4 +786,12 @@ func (c *Collection) stageLocked(op journalOp, id string, doc document.D) pendin
 	// apply order too.
 	c.store.repl.record(c.name, op, id, doc)
 	return pendingCommit{}
+}
+
+// storeClosed reports whether the owning store has been closed. Mutators
+// check it under c.mu before applying anything: Store.Close takes every
+// collection lock after setting the flag, so a mutator that saw the
+// store open stages its journal record before the journal is detached.
+func (c *Collection) storeClosed() bool {
+	return c.store != nil && c.store.closed.Load()
 }

@@ -218,7 +218,7 @@ func (ox *orderedIndex) keyRange(keys []string, lo, hi, hiPrefix string) (int, i
 // paths with commas, so Stats().Indexes must split back unambiguously),
 // and a lone "_id" (the primary key already serves it). The definition
 // is journaled, so durable stores rebuild it on replay and replicas
-// receive it through the log.
+// receive it through the log. On a closed store it does nothing.
 func (c *Collection) EnsureOrderedIndex(paths ...string) {
 	if len(paths) == 0 || (len(paths) == 1 && paths[0] == "_id") {
 		return
@@ -230,7 +230,7 @@ func (c *Collection) EnsureOrderedIndex(paths ...string) {
 	}
 	var pc pendingCommit
 	c.mu.Lock()
-	if c.ensureOrderedLocked(paths) {
+	if !c.storeClosed() && c.ensureOrderedLocked(paths) {
 		pc = c.stageLocked(journalIndex, orderedIndexName(paths), orderedIndexDefDoc(paths))
 	}
 	c.mu.Unlock()
@@ -257,11 +257,12 @@ func (c *Collection) ensureOrderedLocked(paths []string) bool {
 }
 
 // DropOrderedIndex removes a secondary index by its canonical name
-// (comma-joined paths, as listed in Stats().Indexes).
+// (comma-joined paths, as listed in Stats().Indexes). On a closed store
+// it does nothing.
 func (c *Collection) DropOrderedIndex(name string) {
 	var pc pendingCommit
 	c.mu.Lock()
-	if _, had := c.ordered[name]; had {
+	if _, had := c.ordered[name]; had && !c.storeClosed() {
 		delete(c.ordered, name)
 		c.bumpGenLocked()
 		pc = c.stageLocked(journalIndexDrop, name, document.D{"ordered": true, "name": name})

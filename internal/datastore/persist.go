@@ -373,9 +373,12 @@ func (j *journal) drain() {
 func (j *journal) writeBatch(batch []pendingFrame) {
 	j.mu.Lock()
 	if j.file == nil {
-		// Journal detached (store closed / memory store): resolve with
-		// whatever terminal state close() recorded.
+		// Journal detached by Close: resolve with the terminal state
+		// close() recorded, and never with success.
 		err := j.werr
+		if err == nil {
+			err = ErrClosed
+		}
 		j.mu.Unlock()
 		for _, f := range batch {
 			f.t.err = err
@@ -461,10 +464,6 @@ func (j *journal) stageWrite(coll string, op journalOp, id string, doc document.
 		raw = b
 	}
 	return j.stage(journalRecord{Op: op, Collection: coll, ID: id, Doc: raw})
-}
-
-func (j *journal) logDrop(coll string) {
-	_ = j.commit(j.stage(journalRecord{Op: journalDrop, Collection: coll}))
 }
 
 // replay loads the snapshot then re-applies the journal into s. Called

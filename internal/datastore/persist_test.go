@@ -215,3 +215,91 @@ func TestCloseReleasesStoreLockBeforeJournalClose(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 }
+
+// TestWriteAfterCloseFailsAndReadsWork: a closed durable store used to
+// take the memory path for later writes and acknowledge them with a nil
+// error, though no journal recorded them. Every mutator now fails with
+// ErrClosed before applying, reads still answer, and a reopen finds only
+// what was written before Close.
+func TestWriteAfterCloseFailsAndReadsWork(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.C("m")
+	if _, err := c.Insert(document.D{"_id": "a", "v": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert(document.D{"_id": "b"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("insert after Close: err = %v, want ErrClosed", err)
+	}
+	writes := map[string]func() error{
+		"insertMany": func() error { _, err := c.InsertMany([]document.D{{"_id": "c"}}); return err },
+		"updateMany": func() error {
+			_, err := c.UpdateMany(nil, document.D{"$set": document.D{"v": int64(2)}})
+			return err
+		},
+		"upsert": func() error {
+			_, err := c.Upsert(document.D{"_id": "d"}, document.D{"$set": document.D{"v": int64(3)}})
+			return err
+		},
+		"findAndModify": func() error {
+			_, err := c.FindAndModify(nil, document.D{"$set": document.D{"v": int64(4)}}, nil, true)
+			return err
+		},
+		"remove":    func() error { _, err := c.Remove(nil); return err },
+		"removeID":  func() error { return c.RemoveID("a") },
+		"bulkWrite": func() error { _, err := c.BulkWrite([]BulkOp{{Op: BulkDelete, Filter: document.D{}}}); return err },
+		"newCollection": func() error {
+			_, err := s.C("fresh").Insert(document.D{"_id": "e"})
+			return err
+		},
+		"replApply": func() error { _, _, _, err := s.ApplyReplEntries(nil); return err },
+		"replReset": func() error { return s.ReplReset(nil, 0) },
+	}
+	for name, w := range writes {
+		if err := w(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: err = %v, want ErrClosed", name, err)
+		}
+	}
+	c.EnsureOrderedIndex("v")
+	if got := c.Stats().Indexes; len(got) != 0 {
+		t.Errorf("index created on a closed store: %v", got)
+	}
+	docs, err := c.FindAll(nil, nil)
+	if err != nil || len(docs) != 1 || docs[0]["v"] != int64(1) {
+		t.Fatalf("read after Close = %v (err %v), want the one document as written", docs, err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n, _ := s2.C("m").Count(nil); n != 1 {
+		t.Fatalf("reopened store holds %d documents, want 1", n)
+	}
+	if got := s2.Collections(); len(got) != 1 {
+		t.Fatalf("reopened store collections = %v, want [m]", got)
+	}
+}
+
+// TestDetachedJournalFailsFrames: a frame that reaches a journal after
+// close resolves with ErrClosed, never with success.
+func TestDetachedJournalFailsFrames(t *testing.T) {
+	j, err := openAppend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	tk := j.stageWrite("m", journalInsert, "x", document.D{"_id": "x"})
+	if err := j.commit(tk); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit on a closed journal: err = %v, want ErrClosed", err)
+	}
+}

@@ -264,6 +264,9 @@ func (s *Store) ApplyReplEntries(lines [][]byte) (applied int, gen uint64, torn 
 func (s *Store) stageReplEntries(j *journal, lines [][]byte) (applied int, last *commitTicket, torn bool, err error) {
 	s.replApplyMu.Lock()
 	defer s.replApplyMu.Unlock()
+	if s.closed.Load() {
+		return 0, nil, false, ErrClosed
+	}
 	for _, line := range lines {
 		payload, derr := decodeLine(line)
 		var rec journalRecord
@@ -343,6 +346,9 @@ func (s *Store) ReplSnapshotEntries() ([][]byte, uint64, error) {
 func (s *Store) ReplReset(lines [][]byte, upto uint64) error {
 	s.replApplyMu.Lock()
 	defer s.replApplyMu.Unlock()
+	if s.closed.Load() {
+		return ErrClosed
+	}
 	s.mu.Lock()
 	s.collections = make(map[string]*Collection)
 	s.mu.Unlock()

@@ -13,6 +13,7 @@
 package datastore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -36,6 +37,11 @@ type Store struct {
 	// journal order matches apply order), and taking s.mu there would
 	// close a lock cycle with Stats (s.mu → c.mu).
 	journal atomic.Pointer[journal]
+
+	// closed is set by Close. Every mutator checks it under its
+	// collection's write lock (or replApplyMu) before applying, and
+	// fails with ErrClosed once it is set; reads keep working.
+	closed atomic.Bool
 
 	// repl tracks replication generations and, once replication is
 	// enabled, a bounded ring of framed log entries. It has its own
@@ -150,11 +156,29 @@ func MustOpenMemory() *Store {
 	return s
 }
 
-// Close flushes and closes the journal, if any. The journal pointer is
-// detached atomically before closing; in-flight commits that already
-// hold the old pointer resolve against the closed journal's terminal
-// state (writeBatch on a detached journal fails their frames fast).
+// Close flushes and closes the journal, if any. After Close every
+// mutator returns ErrClosed without applying anything, and reads keep
+// working. Close marks the store closed, then takes and releases every
+// collection lock and the replication apply lock: a mutator that saw the
+// store open holds one of those until its record is staged, so once they
+// have all been passed no write can still apply. Only then is the
+// journal pointer detached and closed; close drains what was staged,
+// and a frame that still reaches the detached journal fails with
+// ErrClosed rather than being acknowledged.
 func (s *Store) Close() error {
+	s.closed.Store(true)
+	s.replApplyMu.Lock()
+	s.replApplyMu.Unlock()
+	s.mu.RLock()
+	colls := make([]*Collection, 0, len(s.collections))
+	for _, c := range s.collections {
+		colls = append(colls, c)
+	}
+	s.mu.RUnlock()
+	for _, c := range colls {
+		c.mu.Lock()
+		c.mu.Unlock()
+	}
 	if j := s.journal.Swap(nil); j != nil {
 		return j.close()
 	}
@@ -192,16 +216,27 @@ func (s *Store) Collections() []string {
 	return names
 }
 
-// DropCollection removes a collection and all its documents and indexes.
+// DropCollection removes a collection and all its documents and
+// indexes. On a closed store it does nothing. The drop record is staged
+// under s.mu, which Close also passes before detaching the journal.
 func (s *Store) DropCollection(name string) {
 	s.mu.Lock()
-	delete(s.collections, name)
-	s.mu.Unlock()
-	if j := s.journal.Load(); j != nil {
-		j.logDrop(name)
+	if s.closed.Load() {
+		s.mu.Unlock()
 		return
 	}
-	s.repl.record(name, journalDrop, "", nil)
+	delete(s.collections, name)
+	j := s.journal.Load()
+	var t *commitTicket
+	if j != nil {
+		t = j.stage(journalRecord{Op: journalDrop, Collection: name})
+	} else {
+		s.repl.record(name, journalDrop, "", nil)
+	}
+	s.mu.Unlock()
+	if j != nil {
+		_ = j.commit(t)
+	}
 }
 
 // Profiler returns the store-wide query profiler (the source of the
@@ -308,6 +343,10 @@ func (p *Profiler) Totals() (ops, records uint64) {
 // ErrNotFound is returned by operations that require a matching document
 // when none exists.
 var ErrNotFound = fmt.Errorf("datastore: no matching document")
+
+// ErrClosed is returned by every mutator of a store after Close, before
+// anything is applied. Reads on a closed store keep working.
+var ErrClosed = errors.New("datastore: store is closed")
 
 // ErrDuplicateID is returned when inserting a document whose _id already
 // exists in the collection.

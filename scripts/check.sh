@@ -73,6 +73,7 @@ go test ./internal/query/ -run '^$' -fuzz '^FuzzFilterCompileMatch$' -fuzztime "
 go test ./internal/query/ -run '^$' -fuzz '^FuzzUpdateApply$' -fuzztime "$FUZZTIME"
 go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentPath$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzKeyEncodingOrder$' -fuzztime "$FUZZTIME"
+go test ./internal/datastore/ -run '^$' -fuzz '^FuzzGroupPartialCombine$' -fuzztime "$FUZZTIME"
 go test ./internal/cluster/wire/ -run '^$' -fuzz '^FuzzDecodeJSONBytes$' -fuzztime "$FUZZTIME"
 
 # Cluster e2e smoke: two real shard-node processes, a router process that
