@@ -49,7 +49,7 @@ func (r *Router) aggregate(collection string, pipeline []document.D) ([]document
 		if err := r.readOnGroup(targets[0], wire.PathAggregate, req, &resp); err != nil {
 			return nil, err
 		}
-		return resp.NormalizedDocs(), nil
+		return resp.Docs, nil
 	}
 	if cut, ok := partialCut(pipeline); ok {
 		r.reg.Counter("cluster.aggregate_partial").Inc()
@@ -98,7 +98,7 @@ func (r *Router) aggregatePartial(collection string, targets []int, pipeline []d
 			if err := r.readOnGroup(gi, wire.PathAggregate, req, &resp); err != nil {
 				return nil, err
 			}
-			return resp.NormalizedDocs(), nil
+			return resp.Docs, nil
 		})
 		if err != nil {
 			return err

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"matproj/internal/cluster/wire"
@@ -114,9 +115,36 @@ func isBadRequest(err error) bool {
 }
 
 func writeJSON(w http.ResponseWriter, v any) error {
+	return writeReply(w, func(dst []byte) ([]byte, error) { return wire.AppendReply(dst, v) })
+}
+
+// replyBufs recycles reply bodies between requests; a body grows to the
+// size of a result page, so reusing it saves the append growth on every
+// reply.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReply keeps one unusually large reply from pinning its buffer.
+const maxPooledReply = 1 << 20
+
+// writeReply appends a whole reply body, then writes it. Nothing is sent
+// when appendBody fails, so serve can still answer with an error status;
+// its error is returned as is, for the handler to name the operation.
+func writeReply(w http.ResponseWriter, appendBody func([]byte) ([]byte, error)) error {
+	buf := replyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledReply {
+			replyBufs.Put(buf)
+		}
+	}()
+	body, err := appendBody((*buf)[:0])
+	*buf = body
+	if err != nil {
+		return err
+	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return fmt.Errorf("cluster: encode response: %w", err)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		return fmt.Errorf("cluster: write response: %w", err)
 	}
 	return nil
 }
@@ -166,11 +194,14 @@ func (n *Node) handleFind(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	docs, err := n.store.C(req.Collection).FindAll(wire.NormalizeMap(req.Filter), req.Opts.ToFindOpts())
+	c, filter, opts := n.store.C(req.Collection), wire.NormalizeMap(req.Filter), req.Opts.ToFindOpts()
+	err := writeReply(w, func(dst []byte) ([]byte, error) {
+		return wire.AppendDocsReply(dst, func(dst []byte) ([]byte, error) { return c.AppendFind(dst, filter, opts) })
+	})
 	if err != nil {
 		return fmt.Errorf("cluster: find %s: %w", req.Collection, err)
 	}
-	return writeJSON(w, wire.DocsResponse{Docs: wire.FromDocs(docs)})
+	return nil
 }
 
 func (n *Node) handleCount(w http.ResponseWriter, r *http.Request) error {
@@ -190,11 +221,14 @@ func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	d, err := n.store.C(req.Collection).FindID(req.ID)
+	c := n.store.C(req.Collection)
+	err := writeReply(w, func(dst []byte) ([]byte, error) {
+		return wire.AppendDocReply(dst, func(dst []byte) ([]byte, error) { return c.AppendID(dst, req.ID) })
+	})
 	if err != nil {
 		return fmt.Errorf("cluster: get %s/%s: %w", req.Collection, req.ID, err)
 	}
-	return writeJSON(w, wire.DocResponse{Doc: map[string]any(d)})
+	return nil
 }
 
 func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) error {
@@ -242,7 +276,7 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("cluster: aggregate %s: %w", req.Collection, err)
 	}
-	return writeJSON(w, wire.DocsResponse{Docs: wire.FromDocs(docs)})
+	return writeJSON(w, wire.DocsResponse{Docs: docs})
 }
 
 func (n *Node) handleDistinct(w http.ResponseWriter, r *http.Request) error {
@@ -275,7 +309,7 @@ func (n *Node) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest("cluster: explain %s: %v", req.Collection, err)
 	}
-	return writeJSON(w, wire.DocResponse{Doc: map[string]any(plan)})
+	return writeJSON(w, wire.DocResponse{Doc: plan})
 }
 
 func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -225,7 +225,7 @@ func (r *Router) call(m *member, path string, req, out any) error {
 		return fmt.Errorf("cluster: call %s%s: %w", m.url, path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return fmt.Errorf("cluster: read %s%s: %w", m.url, path, err)
 	}
@@ -248,6 +248,24 @@ func (r *Router) call(m *member, path string, req, out any) error {
 	}
 	return nil
 }
+
+// readBody reads a reply body whole: into one buffer of its
+// Content-Length when the node sent one (nodes do for every reply they
+// build in memory), else growing as io.ReadAll does.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+		raw := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, raw); err != nil {
+			return nil, fmt.Errorf("body shorter than its Content-Length: %w", err)
+		}
+		return raw, nil
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// maxPresizedBody bounds what a Content-Length header alone can make
+// readBody allocate before any byte arrives.
+const maxPresizedBody = 64 << 20
 
 // remoteError is an application-level error relayed from a node. The
 // member is alive (it answered), so remote errors never trigger
@@ -759,7 +777,7 @@ func (r *Router) explain(collection string, filter document.D, opts *datastore.F
 		if err := r.readOnGroup(gi, wire.PathExplain, req, &resp); err != nil {
 			return err
 		}
-		plan := wire.NormalizeMap(resp.Doc)
+		plan := resp.Doc
 		plan["shard"] = int64(gi)
 		for slot, t := range targets {
 			if t == gi {
@@ -899,7 +917,7 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 			if err := r.readOnGroupStale(gi, wire.PathFind, req, &resp, maxStale); err != nil {
 				return nil, err
 			}
-			return resp.NormalizedDocs(), nil
+			return resp.Docs, nil
 		})
 		if err != nil {
 			return err
@@ -932,7 +950,7 @@ func (r *Router) Get(collection, id string) (document.D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.NormalizeMap(resp.Doc), nil
+	return resp.Doc, nil
 }
 
 // count scatter-gathers a count.

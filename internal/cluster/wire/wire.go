@@ -6,16 +6,19 @@
 // anatomy stays a router-only concern and nodes remain dumb storage.
 //
 // Number fidelity matters on this boundary: documents round-trip through
-// JSON, so decoding always goes through json.Number + document.Normalize
-// (integral values become int64, the rest float64) — the same
-// canonicalization the datastore applies on insert.
+// JSON, so every decode keeps integral values int64 and the rest float64 —
+// the canonicalization the datastore applies on insert. Document replies
+// (DocsResponse, DocResponse) are appended with document.AppendJSON and
+// parsed with document.ParseJSON in one pass; the small request and
+// acknowledgement types use encoding/json with json.Number +
+// document.Normalize. Both write the same bytes.
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
@@ -217,27 +220,54 @@ type FindRequest struct {
 	Opts       *FindOpts      `json:"opts,omitempty"`
 }
 
-// DocsResponse carries a result set.
+// DocsResponse carries a result set as canonical documents.
 type DocsResponse struct {
-	Docs []map[string]any `json:"docs"`
+	Docs []document.D `json:"docs"`
 }
 
-// NormalizedDocs converts the raw rows to canonical documents.
-func (r *DocsResponse) NormalizedDocs() []document.D {
-	out := make([]document.D, len(r.Docs))
-	for i, d := range r.Docs {
-		out[i] = document.NormalizeDoc(document.D(d))
+// NormalizedDocs returns the result set. Parsing already canonicalizes
+// the documents; the method stays for callers that time the router's
+// reply decoding as DecodeJSONBytes followed by NormalizedDocs.
+func (r *DocsResponse) NormalizedDocs() []document.D { return r.Docs }
+
+// AppendDocsReply appends a DocsResponse body — with the newline
+// json.Encoder ends it with — whose JSON array of documents appendDocs
+// writes (datastore.Collection.AppendFind, or document.AppendJSON).
+func AppendDocsReply(dst []byte, appendDocs func([]byte) ([]byte, error)) ([]byte, error) {
+	dst, err := appendDocs(append(dst, `{"docs":`...))
+	if err != nil {
+		return dst, err
 	}
-	return out
+	return append(dst, "}\n"...), nil
 }
 
-// FromDocs converts documents to wire rows.
-func FromDocs(docs []document.D) []map[string]any {
-	out := make([]map[string]any, len(docs))
-	for i, d := range docs {
-		out[i] = map[string]any(d)
+func (r DocsResponse) appendJSON(dst []byte) ([]byte, error) {
+	docs := r.Docs
+	if docs == nil {
+		docs = []document.D{}
 	}
-	return out
+	return AppendDocsReply(dst, func(dst []byte) ([]byte, error) { return document.AppendJSON(dst, docs) })
+}
+
+func (r *DocsResponse) parseJSON(b []byte) error {
+	fields, err := parseObject(b)
+	if err != nil || fields == nil {
+		return err
+	}
+	switch docs := fields["docs"].(type) {
+	case nil:
+		r.Docs = nil
+	case []any:
+		r.Docs = make([]document.D, len(docs))
+		for i, d := range docs {
+			if r.Docs[i], err = asDoc(d); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("docs is %T, not an array", docs)
+	}
+	return nil
 }
 
 // CountRequest counts matching documents.
@@ -261,7 +291,60 @@ type GetRequest struct {
 
 // DocResponse carries one document (empty Doc = not found, with HTTP 404).
 type DocResponse struct {
-	Doc map[string]any `json:"doc,omitempty"`
+	Doc document.D `json:"doc,omitempty"`
+}
+
+// AppendDocReply appends a DocResponse body, newline included, whose
+// non-empty document appendDoc writes (datastore.Collection.AppendID).
+func AppendDocReply(dst []byte, appendDoc func([]byte) ([]byte, error)) ([]byte, error) {
+	dst, err := appendDoc(append(dst, `{"doc":`...))
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, "}\n"...), nil
+}
+
+func (r DocResponse) appendJSON(dst []byte) ([]byte, error) {
+	if len(r.Doc) == 0 {
+		return append(dst, "{}\n"...), nil
+	}
+	return AppendDocReply(dst, func(dst []byte) ([]byte, error) { return document.AppendJSON(dst, r.Doc) })
+}
+
+func (r *DocResponse) parseJSON(b []byte) error {
+	fields, err := parseObject(b)
+	if err != nil || fields == nil {
+		return err
+	}
+	r.Doc, err = asDoc(fields["doc"])
+	return err
+}
+
+// parseObject parses a reply body that must be a JSON object (or null,
+// which, as for encoding/json, leaves the reply unchanged).
+func parseObject(b []byte) (map[string]any, error) {
+	v, err := document.ParseJSON(b)
+	if err != nil {
+		return nil, fmt.Errorf("reply: %w", err)
+	}
+	if v == nil {
+		return nil, nil
+	}
+	fields, ok := v.(map[string]any)
+	if !ok {
+		return nil, fmt.Errorf("reply is %T, not an object", v)
+	}
+	return fields, nil
+}
+
+func asDoc(v any) (document.D, error) {
+	switch d := v.(type) {
+	case nil:
+		return nil, nil
+	case map[string]any:
+		return d, nil
+	}
+	return nil, fmt.Errorf("document is %T, not an object", v)
 }
 
 // UpdateRequest applies an update on a node.
@@ -354,6 +437,24 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// AppendReply appends the body a node answers with: v's JSON encoding
+// and a newline, the bytes json.Encoder writes. DocsResponse and
+// DocResponse are appended with document.AppendJSON; other replies are
+// small and go through encoding/json.
+func AppendReply(dst []byte, v any) ([]byte, error) {
+	switch r := v.(type) {
+	case DocsResponse:
+		return r.appendJSON(dst)
+	case DocResponse:
+		return r.appendJSON(dst)
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return dst, fmt.Errorf("wire: encode: %w", err)
+	}
+	return append(append(dst, b...), '\n'), nil
+}
+
 // DecodeJSON decodes JSON preserving number fidelity (json.Number), so a
 // subsequent document.Normalize restores int64/float64 exactly as the
 // datastore would on a local insert.
@@ -366,9 +467,17 @@ func DecodeJSON(r io.Reader, v any) error {
 	return nil
 }
 
-// DecodeJSONBytes is DecodeJSON over a byte slice.
+// DecodeJSONBytes is DecodeJSON over a byte slice. A *DocsResponse or
+// *DocResponse is parsed in one pass into canonical documents instead,
+// so its documents need no Normalize.
 func DecodeJSONBytes(b []byte, v any) error {
-	return DecodeJSON(strings.NewReader(string(b)), v)
+	if r, ok := v.(interface{ parseJSON([]byte) error }); ok {
+		if err := r.parseJSON(b); err != nil {
+			return fmt.Errorf("wire: decode: %w", err)
+		}
+		return nil
+	}
+	return DecodeJSON(bytes.NewReader(b), v)
 }
 
 // NormalizeMap canonicalizes a decoded wire map into a document.

@@ -1,7 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"matproj/internal/document"
@@ -52,4 +56,98 @@ func FuzzDecodeJSONBytes(f *testing.F) {
 			t.Fatalf("second trip changed the document:\n first  %v\n second %v", once, twice)
 		}
 	})
+}
+
+// oldDocsResponse is the reply shape before the one-pass codec: raw maps
+// through encoding/json, normalized after decoding.
+type oldDocsResponse struct {
+	Docs []map[string]any `json:"docs"`
+}
+
+func encoderBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDocRepliesKeepTheirBytes checks that the codec changed no byte on
+// the wire: document replies append exactly what json.Encoder wrote for
+// them, other replies still go through it, and parsing a reply gives the
+// documents the old decode-then-normalize gave.
+func TestDocRepliesKeepTheirBytes(t *testing.T) {
+	docs := []document.D{
+		{"_id": "mat-1", "band_gap": 1.25, "nelements": int64(3), "big": int64(9007199254740993),
+			"elements": []any{"Li", "O"}, "s": map[string]any{"html": "<&>", "tiny": 1e-9, "neg": math.Copysign(0, -1)}},
+		{"_id": "mat-2", "none": nil, "ok": true, "empty": map[string]any{}, "list": []any{}},
+	}
+	raw := make([]map[string]any, len(docs))
+	for i, d := range docs {
+		raw[i] = d
+	}
+	for _, tc := range []struct {
+		name     string
+		reply    any
+		previous any
+	}{
+		{"docs", DocsResponse{Docs: docs}, oldDocsResponse{Docs: raw}},
+		{"no docs", DocsResponse{}, oldDocsResponse{Docs: []map[string]any{}}},
+		{"doc", DocResponse{Doc: docs[0]}, struct {
+			Doc map[string]any `json:"doc,omitempty"`
+		}{raw[0]}},
+		{"empty doc", DocResponse{}, struct {
+			Doc map[string]any `json:"doc,omitempty"`
+		}{}},
+		{"count", CountResponse{N: 3, Gen: 7}, CountResponse{N: 3, Gen: 7}},
+	} {
+		got, err := AppendReply([]byte("x"), tc.reply)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := encoderBytes(t, tc.previous); string(got) != "x"+string(want) {
+			t.Errorf("%s: appended %q, json.Encoder wrote %q", tc.name, got[1:], want)
+		}
+	}
+
+	body := encoderBytes(t, oldDocsResponse{Docs: raw})
+	var old oldDocsResponse
+	if err := DecodeJSON(bytes.NewReader(body), &old); err != nil {
+		t.Fatal(err)
+	}
+	var got DocsResponse
+	if err := DecodeJSONBytes(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Docs) != len(old.Docs) {
+		t.Fatalf("parsed %d documents, want %d", len(got.Docs), len(old.Docs))
+	}
+	for i := range old.Docs {
+		if want := NormalizeMap(old.Docs[i]); !reflect.DeepEqual(got.Docs[i], want) {
+			t.Errorf("document %d: parsed %#v, decode + Normalize gave %#v", i, got.Docs[i], want)
+		}
+	}
+	var one DocResponse
+	if err := DecodeJSONBytes(encoderBytes(t, DocResponse{Doc: docs[1]}), &one); err != nil || !document.Equal(one.Doc, docs[1]) {
+		t.Errorf("DocResponse parsed to %v, %v; want %v", one.Doc, err, docs[1])
+	}
+	for _, bad := range []string{`{"docs":[1]}`, `{"docs":{}}`, `[]`, `{"docs":[]} x`, `{"doc":"x"}`} {
+		var r DocsResponse
+		var d DocResponse
+		if DecodeJSONBytes([]byte(bad), &r) == nil && DecodeJSONBytes([]byte(bad), &d) == nil {
+			t.Errorf("both document replies accepted %s", bad)
+		}
+	}
+}
+
+// TestDeepReplyIsAnError sends a reply nested 20,000 levels deep, twice
+// encoding/json's limit: parsing must fail with an error, not recurse
+// without bound.
+func TestDeepReplyIsAnError(t *testing.T) {
+	body := `{"docs":[` + strings.Repeat(`{"a":[`, 10000) + strings.Repeat(`]}`, 10000) + `]}`
+	var r DocsResponse
+	if err := DecodeJSONBytes([]byte(body), &r); err == nil {
+		t.Fatal("a 20,000-deep reply decoded without error")
+	}
 }

@@ -274,10 +274,56 @@ type FindOpts struct {
 // Find returns a cursor over documents matching filter. The cursor holds
 // deep copies; iterating never observes later writes.
 func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
+	rows, copied, err := c.find(filter, opts)
+	if err != nil {
+		return nil, err
+	}
+	if !copied {
+		for i, d := range rows {
+			rows[i] = d.Copy()
+		}
+	}
+	return &Cursor{docs: rows}, nil
+}
+
+// AppendFind appends to dst the JSON array (document.AppendJSON) of the
+// documents Find would return, encoded straight from the stored
+// documents: a node that only serializes a result never copies it.
+func (c *Collection) AppendFind(dst []byte, filter document.D, opts *FindOpts) ([]byte, error) {
+	rows, _, err := c.find(filter, opts)
+	if err != nil {
+		return dst, err
+	}
+	if rows == nil {
+		rows = []document.D{}
+	}
+	return document.AppendJSON(dst, rows)
+}
+
+// AppendID appends the JSON encoding of the document with the given _id,
+// encoded straight from the stored document, or returns ErrNotFound.
+func (c *Collection) AppendID(dst []byte, id string) ([]byte, error) {
+	c.mu.RLock()
+	d, ok := c.docs[id]
+	c.mu.RUnlock()
+	if !ok {
+		return dst, ErrNotFound
+	}
+	return document.AppendJSON(dst, d)
+}
+
+// find is the one query walk behind Find and AppendFind: it returns the
+// page in order, after sort, skip and limit. Without a projection the
+// rows are the stored documents themselves (copied is false). The caller
+// may read them after the lock is released, because a stored document is
+// never mutated — every write replaces it (replaceLocked) with a new one
+// built from a copy — but must not let them leave the package. With a
+// projection the rows are fresh projected copies.
+func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D, copied bool, err error) {
 	start := time.Now()
 	flt, err := query.Compile(filter)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var proj *query.Projection
 	var sortKeys []query.SortKey
@@ -285,24 +331,29 @@ func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
 	if opts != nil {
 		proj, err = query.CompileProjection(opts.Projection)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		sortKeys, err = query.ParseSort(opts.Sort)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		skip, limit = opts.Skip, opts.Limit
 	}
+	row := func(d document.D) document.D {
+		if proj == nil {
+			return d
+		}
+		return proj.Apply(d)
+	}
 
 	c.mu.RLock()
-	var results []document.D
 	var plan *queryPlan
 	if ids, handled := c.idLookupLocked(flt); handled {
 		plan = &queryPlan{mode: "id", estimate: len(ids), ndocs: len(c.docs)}
 		c.notePlan(plan)
-		results = make([]document.D, 0, len(ids))
+		rows = make([]document.D, 0, len(ids))
 		for _, id := range ids {
-			results = append(results, proj.Apply(c.docs[id]))
+			rows = append(rows, row(c.docs[id]))
 		}
 		c.mu.RUnlock()
 	} else {
@@ -326,12 +377,12 @@ func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
 				if matched <= skip {
 					return true
 				}
-				results = append(results, proj.Apply(c.docs[id]))
+				rows = append(rows, row(c.docs[id]))
 				return want < 0 || matched < want
 			})
 			c.mu.RUnlock()
-			c.profilePlan("find", start, len(results), plan)
-			return &Cursor{docs: results}, nil
+			c.profilePlan("find", start, len(rows), plan)
+			return rows, proj != nil, nil
 		}
 		// Limit pushdown without a sort: matches come back in insertion
 		// order, so the first skip+limit of them are the page.
@@ -340,27 +391,26 @@ func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
 			maxMatches = skip + limit
 		}
 		matched := c.execPlanLocked(flt, plan, maxMatches)
-		// Copy out under the read lock so the cursor is a stable snapshot.
-		results = make([]document.D, 0, len(matched))
+		rows = make([]document.D, 0, len(matched))
 		for _, id := range matched {
-			results = append(results, proj.Apply(c.docs[id]))
+			rows = append(rows, row(c.docs[id]))
 		}
 		c.mu.RUnlock()
 	}
 
-	query.SortDocs(results, sortKeys)
+	query.SortDocs(rows, sortKeys)
 	if skip > 0 {
-		if skip >= len(results) {
-			results = nil
+		if skip >= len(rows) {
+			rows = nil
 		} else {
-			results = results[skip:]
+			rows = rows[skip:]
 		}
 	}
-	if limit > 0 && limit < len(results) {
-		results = results[:limit]
+	if limit > 0 && limit < len(rows) {
+		rows = rows[:limit]
 	}
-	c.profilePlan("find", start, len(results), plan)
-	return &Cursor{docs: results}, nil
+	c.profilePlan("find", start, len(rows), plan)
+	return rows, proj != nil, nil
 }
 
 // FindAll is Find followed by draining the cursor.

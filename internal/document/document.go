@@ -9,6 +9,7 @@
 package document
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -28,7 +29,7 @@ func New() D { return D{} }
 // FromJSON decodes a JSON object into a document. Numbers are decoded with
 // json.Number and normalized: integral values become int64, others float64.
 func FromJSON(data []byte) (D, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	var raw map[string]any
 	if err := dec.Decode(&raw); err != nil {
@@ -63,22 +64,20 @@ func (d D) String() string {
 }
 
 // Normalize walks an arbitrary decoded JSON value and canonicalizes it:
-// json.Number becomes int64 when integral and float64 otherwise; int, int32,
-// uint, float32 and friends widen to int64/float64; maps become
-// map[string]any and slices []any. Strings, bools and nil pass through.
+// json.Number becomes int64 when integral and float64 otherwise, by the
+// rule ParseJSON applies (a literal beyond float64's range stays a
+// string); int, int32, uint, float32 and friends widen to int64/float64;
+// maps become map[string]any and slices []any. Strings, bools and nil
+// pass through.
 func Normalize(v any) any {
 	switch x := v.(type) {
 	case nil, bool, string:
 		return x
 	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return i
+		if n, ok := numberValue(string(x)); ok {
+			return n
 		}
-		f, err := x.Float64()
-		if err != nil {
-			return x.String()
-		}
-		return f
+		return x.String()
 	case int:
 		return int64(x)
 	case int8:
@@ -154,7 +153,7 @@ func Normalize(v any) any {
 		if err != nil {
 			return fmt.Sprint(x)
 		}
-		dec := json.NewDecoder(strings.NewReader(string(b)))
+		dec := json.NewDecoder(bytes.NewReader(b))
 		dec.UseNumber()
 		var out any
 		if err := dec.Decode(&out); err != nil {

@@ -99,14 +99,63 @@ type apiResponse struct {
 	NResults int    `json:"num_results"`
 }
 
+// appendJSON appends the envelope as json.Encoder writes it — fields in
+// declaration order, error omitted when empty, a trailing newline — with
+// the rows encoded by document.AppendJSON.
+func (resp apiResponse) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"valid_response":`...)
+	dst = strconv.AppendBool(dst, resp.Valid)
+	var err error
+	if resp.Error != "" {
+		if dst, err = document.AppendJSON(append(dst, `,"error":`...), resp.Error); err != nil {
+			return dst, fmt.Errorf("restapi: encode response: %w", err)
+		}
+	}
+	if dst, err = document.AppendJSON(append(dst, `,"response":`...), resp.Response); err != nil {
+		return dst, fmt.Errorf("restapi: encode response: %w", err)
+	}
+	dst = strconv.AppendInt(append(dst, `,"num_results":`...), int64(resp.NResults), 10)
+	return append(dst, "}\n"...), nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, resp apiResponse) {
 	if resp.Response == nil {
 		resp.Response = []any{}
 	}
 	resp.NResults = len(resp.Response)
+	body, err := resp.appendJSON(nil)
+	if err != nil {
+		// A row that cannot be encoded (a NaN in a document) fails the
+		// request rather than sending a truncated body.
+		status = http.StatusInternalServerError
+		body, _ = apiResponse{Error: err.Error(), Response: []any{}}.appendJSON(nil)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	w.Write(body)
+}
+
+// requestDoc is a document in a request body. encoding/json hands its
+// bytes to document.ParseJSON, so it arrives canonical: an integer beyond
+// 2^53 keeps every digit and an integral literal is int64, as the wire,
+// the store and the journal keep it, with no json.Number and no second
+// normalizing pass.
+type requestDoc document.D
+
+func (d *requestDoc) UnmarshalJSON(b []byte) error {
+	v, err := document.ParseJSON(b)
+	if err != nil {
+		return fmt.Errorf("restapi: request document: %w", err)
+	}
+	switch m := v.(type) {
+	case nil:
+		*d = nil
+	case map[string]any:
+		*d = m
+	default:
+		return fmt.Errorf("restapi: request document is %T, not an object", v)
+	}
+	return nil
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
@@ -273,14 +322,14 @@ func identifierFilter(identifier string) (document.D, error) {
 // Hint names an index the planner must use (diagnostics; the result set
 // is identical either way).
 type queryRequest struct {
-	Criteria     map[string]any `json:"criteria"`
-	Properties   []string       `json:"properties"`
-	Limit        int            `json:"limit"`
-	Skip         int            `json:"skip"`
-	Sort         []string       `json:"sort"`
-	MaxStaleness int            `json:"max_staleness"`
-	Explain      bool           `json:"explain"`
-	Hint         string         `json:"hint"`
+	Criteria     requestDoc `json:"criteria"`
+	Properties   []string   `json:"properties"`
+	Limit        int        `json:"limit"`
+	Skip         int        `json:"skip"`
+	Sort         []string   `json:"sort"`
+	MaxStaleness int        `json:"max_staleness"`
+	Explain      bool       `json:"explain"`
+	Hint         string     `json:"hint"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -344,8 +393,8 @@ func stalenessOpts(r *http.Request) *datastore.FindOpts {
 // insertRequest is the POST /rest/v1/insert body. Collection defaults
 // to the server's materials collection.
 type insertRequest struct {
-	Collection string         `json:"collection"`
-	Doc        map[string]any `json:"doc"`
+	Collection string     `json:"collection"`
+	Doc        requestDoc `json:"doc"`
 }
 
 // handleInsert writes one document through the engine (and so through
@@ -370,7 +419,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if collection == "" {
 		collection = s.MaterialsCollection
 	}
-	id, err := s.Engine.Insert(email, collection, document.NormalizeDoc(document.D(req.Doc)))
+	id, err := s.Engine.Insert(email, collection, document.D(req.Doc))
 	if err != nil {
 		s.writeEngineErr(w, err)
 		return
@@ -384,8 +433,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // lock and (on a durable store) a single group-commit fsync per shard,
 // which is the fast path for bulk ingest.
 type insertManyRequest struct {
-	Collection string           `json:"collection"`
-	Docs       []map[string]any `json:"docs"`
+	Collection string       `json:"collection"`
+	Docs       []requestDoc `json:"docs"`
 }
 
 // handleInsertMany writes a batch of documents atomically per shard.
@@ -410,7 +459,7 @@ func (s *Server) handleInsertMany(w http.ResponseWriter, r *http.Request) {
 	}
 	docs := make([]document.D, len(req.Docs))
 	for i, d := range req.Docs {
-		docs[i] = document.NormalizeDoc(document.D(d))
+		docs[i] = document.D(d)
 	}
 	ids, err := s.Engine.InsertMany(email, collection, docs)
 	if err != nil {
@@ -434,10 +483,10 @@ type bulkWriteRequest struct {
 
 // bulkWireOp is one operation in a bulkWrite request.
 type bulkWireOp struct {
-	Op     string         `json:"op"`
-	Doc    map[string]any `json:"doc,omitempty"`
-	Filter map[string]any `json:"filter,omitempty"`
-	Update map[string]any `json:"update,omitempty"`
+	Op     string     `json:"op"`
+	Doc    requestDoc `json:"doc,omitempty"`
+	Filter requestDoc `json:"filter,omitempty"`
+	Update requestDoc `json:"update,omitempty"`
 }
 
 // handleBulkWrite applies a mixed write batch. Each response row mirrors
@@ -497,7 +546,7 @@ func (s *Server) handleBulkWrite(w http.ResponseWriter, r *http.Request) {
 
 // aggregateRequest is the POST /rest/v1/aggregate body.
 type aggregateRequest struct {
-	Pipeline []map[string]any `json:"pipeline"`
+	Pipeline []requestDoc `json:"pipeline"`
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {

@@ -72,6 +72,7 @@ echo "fuzz smoke (${FUZZTIME} per target)..."
 go test ./internal/query/ -run '^$' -fuzz '^FuzzFilterCompileMatch$' -fuzztime "$FUZZTIME"
 go test ./internal/query/ -run '^$' -fuzz '^FuzzUpdateApply$' -fuzztime "$FUZZTIME"
 go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentPath$' -fuzztime "$FUZZTIME"
+go test ./internal/document/ -run '^$' -fuzz '^FuzzParseAppendJSON$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzKeyEncodingOrder$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzGroupPartialCombine$' -fuzztime "$FUZZTIME"
 go test ./internal/cluster/wire/ -run '^$' -fuzz '^FuzzDecodeJSONBytes$' -fuzztime "$FUZZTIME"
