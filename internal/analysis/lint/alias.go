@@ -5,10 +5,10 @@ import (
 	"go/types"
 )
 
-// DocAliasing guards the no-mutation-after-read invariant. The
-// datastore, the query engine, and the wire codecs hand out
-// document.D values that may alias live store state (and the read path
-// is free to drop its defensive copies only while this holds): a
+// DocAliasing guards the read-only contract of the serving read path.
+// The datastore, the query engine and the cluster router hand out
+// document.D values that are the stored documents themselves or a
+// cached result other callers share, with no defensive copy: a
 // document obtained from a read must not be written through — index
 // assignment, delete, or a mutating document method — unless the
 // variable was first rebound through Copy()/NormalizeDoc.
@@ -18,15 +18,16 @@ import (
 // rebinding (including the sanctioned `d = d.Copy()`) clears it.
 var DocAliasing = &Analyzer{
 	Name: "docaliasing",
-	Doc:  "documents returned by datastore/queryengine reads must be Copy()d before mutation",
+	Doc:  "documents returned by datastore/queryengine/cluster reads must be Copy()d before mutation",
 	Run:  runDocAliasing,
 }
 
-// readMethodNames are the datastore/queryengine entry points that hand
-// documents out.
+// readMethodNames are the datastore/queryengine/cluster entry points
+// that hand documents out.
 var readMethodNames = map[string]bool{
 	"Find": true, "FindAll": true, "FindOne": true, "FindID": true,
 	"FindAndModify": true, "All": true, "Next": true, "Aggregate": true,
+	"Get": true,
 }
 
 // mutatingDocMethods write through the receiver in place.
@@ -34,8 +35,9 @@ var mutatingDocMethods = map[string]bool{
 	"Set": true, "Unset": true, "Merge": true,
 }
 
-// aliasScope lists where docaliasing applies.
-var aliasScope = []string{"internal"}
+// aliasScope lists where docaliasing applies: every package that can
+// call a read.
+var aliasScope = []string{"internal", "cmd", "examples"}
 
 func runDocAliasing(p *Pass) {
 	if !p.inScope(aliasScope) {
@@ -45,6 +47,7 @@ func runDocAliasing(p *Pass) {
 	readPkgs := map[string]bool{
 		p.Cfg.ModulePath + "/internal/datastore":   true,
 		p.Cfg.ModulePath + "/internal/queryengine": true,
+		p.Cfg.ModulePath + "/internal/cluster":     true,
 	}
 	funcBodies(p.Pkg, func(decl *ast.FuncDecl, _ *ast.File) {
 		s := &aliasState{p: p, docPkg: docPkg, readPkgs: readPkgs, tainted: map[types.Object]bool{}}
@@ -166,7 +169,7 @@ func (s *aliasState) checkMutationLHS(a *ast.AssignStmt) {
 		}
 		if obj := s.taintedRoot(idx.X); obj != nil {
 			s.p.Reportf(lhs.Pos(),
-				"%s aliases a document returned by a datastore/queryengine read; Copy() it before assigning into it", obj.Name())
+				"%s aliases a document returned by a datastore/queryengine/cluster read; Copy() it before assigning into it", obj.Name())
 		}
 	}
 }
@@ -309,8 +312,8 @@ func (s *aliasState) sanitizes(e ast.Expr) bool {
 	return found
 }
 
-// isReadCall reports whether e is a call to a datastore/queryengine
-// read returning documents.
+// isReadCall reports whether e is a call to a datastore/queryengine/
+// cluster read returning documents.
 func (s *aliasState) isReadCall(e ast.Expr) bool {
 	c, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

@@ -168,6 +168,16 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
+// TestDocAliasingScope mounts the docaliasing fixture in cmd/ and
+// examples/, which call reads too (mpquery, quickstart): every finding
+// must fire there as it does under internal/.
+func TestDocAliasingScope(t *testing.T) {
+	l := newLoader(t)
+	for _, asPath := range []string{"matproj/cmd/mpquery/lintfixture", "matproj/examples/quickstart/lintfixture"} {
+		checkGolden(t, "docaliasing", runFixture(t, l, "docaliasing", asPath, "docaliasing"))
+	}
+}
+
 // TestClockAllowlist mounts the clockdiscipline fixture inside
 // internal/obs, which is allowlisted: every finding must vanish.
 func TestClockAllowlist(t *testing.T) {

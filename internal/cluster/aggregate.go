@@ -105,7 +105,7 @@ func (r *Router) aggregatePartial(collection string, targets []int, pipeline []d
 		}
 		for slot, t := range targets {
 			if t == gi {
-				states[slot] = copyRoutedDocs(v.([]document.D), true)
+				states[slot] = v.([]document.D)
 			}
 		}
 		return nil

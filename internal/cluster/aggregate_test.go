@@ -1,12 +1,15 @@
 package cluster_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -180,44 +183,41 @@ func genAggCase(rng *rand.Rand, i int) aggCase {
 
 // fixedAggCases are the shapes the generator might miss: a $count over
 // an empty match, a terminal $count with no $match, the bench's
-// mixed-stream aggregate, pinned _id matches and a $group straight after
-// a $limit.
+// mixed-stream aggregate, pinned _id matches, a $group straight after a
+// $limit, and order-dependent accumulators whose answer does not depend
+// on document order here (one document per group, or a value equal to
+// the key). They live in testdata/fixed_pipelines.json, which
+// restapi's read-only check runs too.
 func fixedAggCases() []aggCase {
-	mk := func(name, path string, floats []string, p ...document.D) aggCase {
-		c := aggCase{name: name, pipeline: p, path: path, floats: map[string]bool{}}
-		for _, f := range floats {
+	b, err := os.ReadFile(filepath.Join("testdata", "fixed_pipelines.json"))
+	if err != nil {
+		panic(err)
+	}
+	var raw []struct {
+		Name     string            `json:"name"`
+		Path     string            `json:"path"`
+		Floats   []string          `json:"floats"`
+		Pipeline []json.RawMessage `json:"pipeline"`
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		panic(err)
+	}
+	cases := make([]aggCase, len(raw))
+	for i, r := range raw {
+		c := aggCase{name: r.Name, path: r.Path, floats: map[string]bool{}}
+		for _, f := range r.Floats {
 			c.floats[f] = true
 		}
-		return c
+		for _, st := range r.Pipeline {
+			d, err := document.FromJSON(st)
+			if err != nil {
+				panic(err)
+			}
+			c.pipeline = append(c.pipeline, d)
+		}
+		cases[i] = c
 	}
-	return []aggCase{
-		mk("count-empty", "partial", nil, document.D{"$match": document.D{"sel": int64(99)}}, document.D{"$count": "n"}),
-		mk("count-all", "partial", nil, document.D{"$count": "n"}),
-		mk("count-then-project", "partial", nil, document.D{"$count": "n"}, document.D{"$project": document.D{"n": int64(1)}}),
-		mk("group-empty-match", "partial", nil, document.D{"$match": document.D{"sel": int64(99)}},
-			document.D{"$group": document.D{"_id": "$g", "n": document.D{"$sum": int64(1)}}}),
-		mk("bench-mixed", "partial", []string{"avg_gap"}, document.D{"$match": document.D{"k": int64(2)}},
-			document.D{"$group": document.D{"_id": "$k", "n": document.D{"$sum": int64(1)}, "avg_gap": document.D{"$avg": "$f"}}}),
-		mk("group-then-group", "partial", nil,
-			document.D{"$group": document.D{"_id": "$g", "n": document.D{"$sum": int64(1)}}},
-			document.D{"$group": document.D{"_id": nil, "groups": document.D{"$sum": int64(1)}, "docs": document.D{"$sum": "$n"}}}),
-		mk("pinned-project", "pinned", nil, document.D{"$match": document.D{"_id": "d-007"}}, document.D{"$project": document.D{"m": int64(1)}}),
-		mk("pinned-group", "pinned", []string{"a"}, document.D{"$match": document.D{"_id": "d-011"}},
-			document.D{"$group": document.D{"_id": "$g", "a": document.D{"$avg": "$f"}, "n": document.D{"$count": document.D{}}}}),
-		mk("pinned-missing", "pinned", nil, document.D{"$match": document.D{"_id": "nope"}}, document.D{"$count": "n"}),
-		mk("limit-then-group", "gather", nil, document.D{"$sort": document.D{"_id": int64(1)}}, document.D{"$limit": int64(5)},
-			document.D{"$group": document.D{"_id": "$g", "n": document.D{"$sum": int64(1)}}}),
-		// Order-dependent accumulators whose answer does not depend on
-		// document order here: one document per group, or a value equal
-		// to the key.
-		mk("push-by-id", "gather", nil, document.D{"$match": document.D{"sel": document.D{"$gte": int64(3)}}},
-			document.D{"$group": document.D{"_id": "$_id", "v": document.D{"$push": "$m"}}},
-			document.D{"$sort": document.D{"_id": int64(1)}}, document.D{"$limit": int64(10)}),
-		mk("first-last-set-by-key", "gather", nil, document.D{"$group": document.D{"_id": "$k",
-			"f": document.D{"$first": "$k"}, "l": document.D{"$last": "$k"}, "s": document.D{"$addToSet": "$k"}, "n": document.D{"$sum": int64(1)}}}),
-		mk("push-unsorted-key", "gather", nil, document.D{"$sort": document.D{"_id": int64(1)}},
-			document.D{"$group": document.D{"_id": "$k", "ids": document.D{"$push": "$_id"}}}),
-	}
+	return cases
 }
 
 // compareAggRows checks routed rows against standalone rows: same rows

@@ -600,20 +600,6 @@ func (r *Router) groupRead(cached bool, collection string, gi int, op string, re
 	return v, err
 }
 
-// copyRoutedDocs deep-copies documents leaving the cache so callers can
-// retain and mutate them freely; uncached reads return fresh data and
-// skip the copy.
-func copyRoutedDocs(docs []document.D, cached bool) []document.D {
-	if !cached {
-		return docs
-	}
-	out := make([]document.D, len(docs))
-	for i, d := range docs {
-		out[i] = d.Copy()
-	}
-	return out
-}
-
 // ---- Write path -----------------------------------------------------
 
 // place prepares a document for a routed insert: it normalizes a private
@@ -885,7 +871,8 @@ func (r *Router) updateOne(collection string, filter, update document.D) (datast
 
 // findAll scatter-gathers a filtered read and applies the global
 // merge-sort/skip/limit, so the result equals a standalone store's.
-// Per-group responses are served through the result cache.
+// Per-group responses are served through the result cache; the
+// documents returned are the parsed or cached ones themselves.
 func (r *Router) findAll(collection string, filter document.D, opts *datastore.FindOpts) ([]document.D, error) {
 	return r.findAllCached(collection, filter, opts, true)
 }
@@ -922,7 +909,7 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 		if err != nil {
 			return err
 		}
-		docs := copyRoutedDocs(v.([]document.D), cached)
+		docs := v.([]document.D)
 		for slot, t := range targets {
 			if t == gi {
 				results[slot] = docs
@@ -1004,14 +991,9 @@ func (r *Router) distinct(collection, path string, filter document.D) ([]any, er
 		if err != nil {
 			return err
 		}
-		cached := v.([]any)
-		vals := make([]any, len(cached))
-		for i, cv := range cached {
-			vals[i] = document.CopyValue(cv)
-		}
 		for slot, t := range targets {
 			if t == gi {
-				lists[slot] = vals
+				lists[slot] = v.([]any)
 			}
 		}
 		return nil
@@ -1204,7 +1186,8 @@ func (r *Router) Primary(gi int) string {
 
 // C returns the routed view of one collection. Router satisfies
 // queryengine.Backend so an Engine (and the REST API above it) can front
-// the cluster directly.
+// the cluster directly. Its read results are read-only: a result-cache
+// hit hands every caller the same cached documents.
 func (r *Router) C(name string) queryengine.Collection {
 	return routedCollection{r: r, name: name}
 }

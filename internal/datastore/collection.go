@@ -271,17 +271,14 @@ type FindOpts struct {
 	Hint string
 }
 
-// Find returns a cursor over documents matching filter. The cursor holds
-// deep copies; iterating never observes later writes.
+// Find returns a cursor over documents matching filter. Without a
+// projection the cursor holds the stored documents themselves, which are
+// read-only (see find); iterating never observes later writes, because a
+// write replaces a stored document instead of changing it.
 func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
-	rows, copied, err := c.find(filter, opts)
+	rows, err := c.find(filter, opts)
 	if err != nil {
 		return nil, err
-	}
-	if !copied {
-		for i, d := range rows {
-			rows[i] = d.Copy()
-		}
 	}
 	return &Cursor{docs: rows}, nil
 }
@@ -290,7 +287,7 @@ func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
 // documents Find would return, encoded straight from the stored
 // documents: a node that only serializes a result never copies it.
 func (c *Collection) AppendFind(dst []byte, filter document.D, opts *FindOpts) ([]byte, error) {
-	rows, _, err := c.find(filter, opts)
+	rows, err := c.find(filter, opts)
 	if err != nil {
 		return dst, err
 	}
@@ -314,16 +311,16 @@ func (c *Collection) AppendID(dst []byte, id string) ([]byte, error) {
 
 // find is the one query walk behind Find and AppendFind: it returns the
 // page in order, after sort, skip and limit. Without a projection the
-// rows are the stored documents themselves (copied is false). The caller
-// may read them after the lock is released, because a stored document is
-// never mutated — every write replaces it (replaceLocked) with a new one
-// built from a copy — but must not let them leave the package. With a
-// projection the rows are fresh projected copies.
-func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D, copied bool, err error) {
+// rows are the stored documents themselves. They stay valid after the
+// lock is released, because a stored document is never mutated — every
+// write replaces it (replaceLocked) with a new one built from a copy —
+// and they are read-only for every caller, inside the package or not.
+// With a projection the rows are fresh projected copies.
+func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D, err error) {
 	start := time.Now()
 	flt, err := query.Compile(filter)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	var proj *query.Projection
 	var sortKeys []query.SortKey
@@ -331,11 +328,11 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 	if opts != nil {
 		proj, err = query.CompileProjection(opts.Projection)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		sortKeys, err = query.ParseSort(opts.Sort)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		skip, limit = opts.Skip, opts.Limit
 	}
@@ -382,7 +379,7 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 			})
 			c.mu.RUnlock()
 			c.profilePlan("find", start, len(rows), plan)
-			return rows, proj != nil, nil
+			return rows, nil
 		}
 		// Limit pushdown without a sort: matches come back in insertion
 		// order, so the first skip+limit of them are the page.
@@ -410,7 +407,7 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 		rows = rows[:limit]
 	}
 	c.profilePlan("find", start, len(rows), plan)
-	return rows, proj != nil, nil
+	return rows, nil
 }
 
 // FindAll is Find followed by draining the cursor.
@@ -439,17 +436,15 @@ func (c *Collection) FindOne(filter document.D, opts *FindOpts) (document.D, err
 	return docs[0], nil
 }
 
-// FindID fetches a document by _id directly.
+// FindID fetches the stored document with the given _id, read-only.
 func (c *Collection) FindID(id string) (document.D, error) {
 	c.mu.RLock()
 	d, ok := c.docs[id]
+	c.mu.RUnlock()
 	if !ok {
-		c.mu.RUnlock()
 		return nil, ErrNotFound
 	}
-	out := d.Copy()
-	c.mu.RUnlock()
-	return out, nil
+	return d, nil
 }
 
 // Count returns the number of documents matching filter.

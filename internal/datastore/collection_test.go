@@ -53,12 +53,6 @@ func TestInsertDoesNotAliasCaller(t *testing.T) {
 	if v, _ := got.Get("nested.v"); v != int64(1) {
 		t.Errorf("stored doc aliased caller: %v", v)
 	}
-	// And FindID returns copies too.
-	got.Set("nested.v", 42)
-	got2, _ := c.FindID(id)
-	if v, _ := got2.Get("nested.v"); v != int64(1) {
-		t.Errorf("FindID aliased store: %v", v)
-	}
 }
 
 func TestInsertMany(t *testing.T) {

@@ -177,11 +177,6 @@ func (d D) Copy() D {
 	return D(copyValue(map[string]any(d)).(map[string]any))
 }
 
-// CopyValue returns a deep copy of an arbitrary document value: nested
-// maps and arrays are duplicated, scalars returned as-is. Result caches
-// use it so callers never alias a cached value.
-func CopyValue(v any) any { return copyValue(v) }
-
 func copyValue(v any) any {
 	switch x := v.(type) {
 	case map[string]any:

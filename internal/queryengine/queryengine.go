@@ -85,8 +85,8 @@ type Engine struct {
 
 	// cache, when set, serves Find/Count/Distinct results validated by
 	// the backend collection's write generation (nil = every read
-	// recomputes). Cached values are deep-copied on the way out, so
-	// callers never alias the cache.
+	// recomputes). A cached result is handed to every caller that hits
+	// it; like every read result it is read-only.
 	cache atomic.Pointer[rcache.Cache]
 
 	mu sync.RWMutex
@@ -182,16 +182,6 @@ func cacheArg(filter document.D, opts *datastore.FindOpts, field string) (string
 		return "", false
 	}
 	return string(b), true
-}
-
-// copyDocs deep-copies a cached result slice so no two callers (or the
-// cache itself) share document memory.
-func copyDocs(docs []document.D) []document.D {
-	out := make([]document.D, len(docs))
-	for i, d := range docs {
-		out[i] = d.Copy()
-	}
-	return out
 }
 
 // observeOp records one engine operation: a per-op latency histogram and
@@ -441,7 +431,10 @@ func (e *Engine) checkRate(user string) error {
 	return nil
 }
 
-// Find runs a sanitized, alias-translated query for a user.
+// Find runs a sanitized, alias-translated query for a user. The returned
+// slice and documents are read-only: they may be the stored documents or
+// a cached result other callers share, so a caller that wants to change
+// one calls Copy first.
 func (e *Engine) Find(user, collection string, filter document.D, opts *datastore.FindOpts) (docs []document.D, err error) {
 	start := time.Now()
 	defer func() { e.observeOp("find", collection, filter, start, len(docs), err) }()
@@ -496,7 +489,7 @@ func (e *Engine) Find(user, collection string, filter document.D, opts *datastor
 	if err != nil {
 		return nil, err
 	}
-	return copyDocs(v.([]document.D)), nil
+	return v.([]document.D), nil
 }
 
 // explainTruthy interprets the $explain flag value: false, nil and
@@ -613,7 +606,8 @@ func (e *Engine) Count(user, collection string, filter document.D) (n int, err e
 	return v.(int), nil
 }
 
-// Distinct lists distinct values of a (possibly aliased) field.
+// Distinct lists distinct values of a (possibly aliased) field. Like
+// Find's, the returned values are read-only.
 func (e *Engine) Distinct(user, collection, field string, filter document.D) (vals []any, err error) {
 	start := time.Now()
 	defer func() { e.observeOp("distinct", collection, filter, start, len(vals), err) }()
@@ -648,12 +642,7 @@ func (e *Engine) Distinct(user, collection, field string, filter document.D) (va
 	if err != nil {
 		return nil, err
 	}
-	out := v.([]any)
-	copied := make([]any, len(out))
-	for i, val := range out {
-		copied[i] = document.CopyValue(val)
-	}
-	return copied, nil
+	return v.([]any), nil
 }
 
 // Update applies a sanitized update; many selects UpdateMany.

@@ -11,6 +11,7 @@ import (
 	"matproj/internal/obs"
 	"matproj/internal/pipeline"
 	"matproj/internal/queryengine"
+	"matproj/internal/rcache"
 )
 
 // newRoutedEngine stands the test corpus up on a networked 2-shard × 2-
@@ -18,19 +19,30 @@ import (
 // API serves over the wire transport instead of a local store.
 func newRoutedEngine(t *testing.T, store *datastore.Store, opts ...queryengine.Option) *queryengine.Engine {
 	t.Helper()
+	router, _ := newRouter(t, store, nil)
+	return queryengine.NewWithBackend(router, opts...)
+}
+
+// newRouter copies store's collections onto a networked 2-shard × 2-
+// member cluster whose router uses rc as its result cache (nil for
+// none), and returns the router and the member stores.
+func newRouter(t *testing.T, store *datastore.Store, rc *rcache.Cache) (*cluster.Router, []*datastore.Store) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	var groups [][]string
+	var members []*datastore.Store
 	for gi := 0; gi < 2; gi++ {
 		var urls []string
 		for mi := 0; mi < 2; mi++ {
-			n := cluster.NewNode(fmt.Sprintf("node-%d-%d", gi, mi), datastore.MustOpenMemory(), reg)
-			srv := httptest.NewServer(n)
+			ms := datastore.MustOpenMemory()
+			srv := httptest.NewServer(cluster.NewNode(fmt.Sprintf("node-%d-%d", gi, mi), ms, reg))
 			t.Cleanup(srv.Close)
 			urls = append(urls, srv.URL)
+			members = append(members, ms)
 		}
 		groups = append(groups, urls)
 	}
-	router, err := cluster.NewRouter(cluster.RouterOptions{Groups: groups, Registry: reg})
+	router, err := cluster.NewRouter(cluster.RouterOptions{Groups: groups, Registry: reg, Cache: rc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +50,7 @@ func newRoutedEngine(t *testing.T, store *datastore.Store, opts ...queryengine.O
 	if _, err := pipeline.CopyCollections(router, store); err != nil {
 		t.Fatal(err)
 	}
-	return queryengine.NewWithBackend(router, opts...)
+	return router, members
 }
 
 // TestMaterialsAPISuiteRouted re-points the entire Materials API test
@@ -48,6 +60,12 @@ func newRoutedEngine(t *testing.T, store *datastore.Store, opts ...queryengine.O
 // store from a cluster.
 func TestMaterialsAPISuiteRouted(t *testing.T) {
 	t.Setenv("RESTAPI_BACKEND", "routed")
+	runMaterialsAPISuite(t)
+}
+
+// runMaterialsAPISuite runs the Materials API suite as subtests, on the
+// backend RESTAPI_BACKEND names.
+func runMaterialsAPISuite(t *testing.T) {
 	t.Run("Fig4URI", TestFig4URI)
 	t.Run("MaterialsByIDChemsysAndAll", TestMaterialsByIDChemsysAndAll)
 	t.Run("MaterialsErrors", TestMaterialsErrors)

@@ -45,20 +45,22 @@ func newTestEngine(store *datastore.Store, opts ...queryengine.Option) *queryeng
 }
 
 // testServer builds a server over a small materials corpus and returns
-// it with a valid API key. With RESTAPI_BACKEND=routed in the
-// environment (see TestMaterialsAPISuiteRouted) the corpus is served
-// through a networked 2-shard cluster — wire transport, query router,
-// replica per shard — instead of a local store; auth and status stay on
-// the local store either way, matching the mpserve router role.
+// it with a valid API key.
 func testServer(t *testing.T, opts ...queryengine.Option) (*httptest.Server, string) {
 	t.Helper()
-	store := newTestStore(t)
-	var eng *queryengine.Engine
-	if os.Getenv("RESTAPI_BACKEND") == "routed" {
-		eng = newRoutedEngine(t, store, opts...)
-	} else {
-		eng = newTestEngine(store, opts...)
-	}
+	return testServerOn(t, newTestStore(t), opts...)
+}
+
+// testServerOn builds a server over store's corpus and returns it with
+// a valid API key. With RESTAPI_BACKEND=routed in the environment (see
+// TestMaterialsAPISuiteRouted) the corpus is served through a networked
+// 2-shard cluster — wire transport, query router, replica per shard —
+// instead of a local store; auth and status stay on the local store
+// either way, matching the mpserve router role. While a read watch is
+// installed (see watchReads) the engine reads through it.
+func testServerOn(t *testing.T, store *datastore.Store, opts ...queryengine.Option) (*httptest.Server, string) {
+	t.Helper()
+	eng := apiEngine(t, store, opts...)
 	auth := NewAuth(store)
 	srv := httptest.NewServer(NewServer(eng, auth, store))
 	t.Cleanup(srv.Close)
@@ -68,6 +70,19 @@ func testServer(t *testing.T, opts ...queryengine.Option) (*httptest.Server, str
 		t.Fatal(err)
 	}
 	return srv, key
+}
+
+// apiEngine builds the engine the API tests serve store's corpus from,
+// on the backend RESTAPI_BACKEND names.
+func apiEngine(t *testing.T, store *datastore.Store, opts ...queryengine.Option) *queryengine.Engine {
+	t.Helper()
+	if reads != nil {
+		return reads.engine(t, store, opts...)
+	}
+	if os.Getenv("RESTAPI_BACKEND") == "routed" {
+		return newRoutedEngine(t, store, opts...)
+	}
+	return newTestEngine(store, opts...)
 }
 
 // get performs an authenticated GET and decodes the envelope.

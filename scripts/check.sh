@@ -47,9 +47,11 @@ go test -race ./...
 # interleaving bugs hide; run those suites twice under the race
 # detector so flaky schedules get a second chance to trip it. rcache and
 # queryengine ride along for the cache freshness invariant (no stale
-# read after an acknowledged write, writers racing readers).
-echo "stress pass (-race -count=2: cluster, fireworks, rcache, queryengine)..."
-go test -race -count=2 ./internal/cluster/ ./internal/fireworks/ ./internal/rcache/ ./internal/queryengine/
+# read after an acknowledged write, writers racing readers), and restapi
+# for the read-only contract (concurrent REST readers share one cached
+# result, so a write into it by any layer is a race).
+echo "stress pass (-race -count=2: cluster, fireworks, rcache, queryengine, restapi)..."
+go test -race -count=2 ./internal/cluster/ ./internal/fireworks/ ./internal/rcache/ ./internal/queryengine/ ./internal/restapi/
 
 # Replication race pass: the staleness-bound hammer (its follower is
 # killed and re-admitted mid-run) and the sweep-during-write regression,
