@@ -6,12 +6,13 @@ build:
 vet:
 	go vet ./...
 
-# lint runs go vet plus mplint, the repo-native analyzer suite
-# (internal/analysis/lint). mplint exits 0 when clean, 1 on findings,
-# 2 on a load/type error, so a failing target always means something
-# actionable.
+# lint runs go vet, a gofmt check (fails when gofmt -l lists a file)
+# and mplint, the repo-native analyzer suite (internal/analysis/lint).
+# mplint exits 0 when clean, 1 on findings, 2 on a load/type error, so a
+# failing target always means something actionable.
 lint:
 	go vet ./...
+	@out="$$(gofmt -l internal cmd examples)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	go run ./cmd/mplint ./...
 
 test:

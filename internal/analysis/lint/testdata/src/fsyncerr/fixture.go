@@ -13,7 +13,7 @@ func unchecked(path string) {
 
 func deferred(path string) {
 	f, _ := os.Create(path)
-	defer f.Close() // want `Close error discarded`
+	defer f.Close()    // want `Close error discarded`
 	f.WriteString("x") // want `WriteString error discarded`
 }
 

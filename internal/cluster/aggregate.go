@@ -45,7 +45,7 @@ func (r *Router) aggregate(collection string, pipeline []document.D) ([]document
 	if len(targets) == 1 {
 		r.reg.Counter("cluster.aggregate_pinned").Inc()
 		var resp wire.DocsResponse
-		req := wire.AggregateRequest{Collection: collection, Pipeline: wirePipeline(pipeline)}
+		req := wire.AggregateRequest{Collection: collection, Pipeline: pipeline}
 		if err := r.readOnGroup(targets[0], wire.PathAggregate, req, &resp); err != nil {
 			return nil, err
 		}
@@ -90,7 +90,7 @@ func partialCut(pipeline []document.D) (int, bool) {
 // router. The per-group state rows go through the result cache: a
 // handful of rows per group instead of every matching document.
 func (r *Router) aggregatePartial(collection string, targets []int, pipeline []document.D, cut int) ([]document.D, error) {
-	req := wire.AggregateRequest{Collection: collection, Pipeline: wirePipeline(pipeline[:cut+1]), Partial: true}
+	req := wire.AggregateRequest{Collection: collection, Pipeline: pipeline[:cut+1], Partial: true}
 	states := make([][]document.D, len(targets))
 	err := r.scatter(targets, func(gi int) error {
 		v, err := r.groupRead(true, collection, gi, "aggregate", req, func() (any, error) {
@@ -122,13 +122,4 @@ func (r *Router) aggregatePartial(collection string, targets []int, pipeline []d
 		return nil, fmt.Errorf("cluster: combine %s partial state: %w", collection, err)
 	}
 	return datastore.RunPipeline(rows, pipeline[cut+1:])
-}
-
-// wirePipeline converts pipeline stages to their wire form.
-func wirePipeline(stages []document.D) []map[string]any {
-	out := make([]map[string]any, len(stages))
-	for i, st := range stages {
-		out[i] = map[string]any(st)
-	}
-	return out
 }

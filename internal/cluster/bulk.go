@@ -26,14 +26,14 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 		return nil, nil
 	}
 	ids := make([]string, len(docs))
-	groupDocs := make([][]map[string]any, len(r.groups))
+	groupDocs := make([][]document.D, len(r.groups))
 	groupIdx := make([][]int, len(r.groups))
 	for i, doc := range docs {
 		d, gi, err := r.place(doc)
 		if err != nil {
 			return nil, err
 		}
-		groupDocs[gi] = append(groupDocs[gi], map[string]any(d))
+		groupDocs[gi] = append(groupDocs[gi], d)
 		groupIdx[gi] = append(groupIdx[gi], i)
 	}
 	targets := make([]int, 0, len(r.groups))
@@ -66,7 +66,7 @@ func (r *Router) InsertMany(collection string, docs []document.D) ([]string, err
 // send and the groups it must run on (inserts pin to one group; updates
 // and deletes follow their filter's shard targets).
 type bulkRoute struct {
-	op      wire.BulkOp
+	op      datastore.BulkOp
 	targets []int
 	err     string // routing-time failure; the op never ships
 	skip    bool   // resolved to a no-op (e.g. updateOne with no match)
@@ -90,7 +90,7 @@ func (r *Router) BulkWrite(collection string, ops []datastore.BulkOp) (datastore
 		routes[i] = r.routeBulkOp(collection, op)
 	}
 	// Per-group sub-batches, preserving input order within each group.
-	groupOps := make([][]wire.BulkOp, len(r.groups))
+	groupOps := make([][]datastore.BulkOp, len(r.groups))
 	groupIdx := make([][]int, len(r.groups))
 	for i := range routes {
 		rt := &routes[i]
@@ -176,12 +176,7 @@ func mergeBulkOpResult(dst *datastore.BulkOpResult, src wire.BulkOpResult) {
 
 // routeBulkOp decides where one op runs.
 func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
-	rt := bulkRoute{op: wire.BulkOp{
-		Op:     op.Op,
-		Doc:    map[string]any(op.Doc),
-		Filter: map[string]any(op.Filter),
-		Update: map[string]any(op.Update),
-	}}
+	rt := bulkRoute{op: op}
 	switch op.Op {
 	case datastore.BulkInsert:
 		d, gi, err := r.place(op.Doc)
@@ -189,7 +184,7 @@ func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
 			rt.err = err.Error()
 			return rt
 		}
-		rt.op.Doc = map[string]any(d)
+		rt.op.Doc = d
 		rt.targets = []int{gi}
 	case datastore.BulkUpdateOne:
 		targets, err := r.targets(op.Filter)
@@ -217,7 +212,7 @@ func (r *Router) routeBulkOp(collection string, op datastore.BulkOp) bulkRoute {
 			}
 			pinned := document.D{"_id": id}
 			rt.op.Op = datastore.BulkUpdateMany
-			rt.op.Filter = map[string]any(pinned)
+			rt.op.Filter = pinned
 			targets, err = r.targets(pinned)
 			if err != nil {
 				rt.err = err.Error()

@@ -21,7 +21,6 @@ import (
 
 	"matproj/internal/cluster/wire"
 	"matproj/internal/datastore"
-	"matproj/internal/document"
 	"matproj/internal/obs"
 )
 
@@ -154,7 +153,7 @@ func (n *Node) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	id, err := n.store.C(req.Collection).Insert(wire.NormalizeMap(req.Doc))
+	id, err := n.store.C(req.Collection).Insert(req.Doc)
 	if err != nil {
 		return fmt.Errorf("cluster: insert %s: %w", req.Collection, err)
 	}
@@ -166,11 +165,7 @@ func (n *Node) handleInsertMany(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	docs := make([]document.D, len(req.Docs))
-	for i, d := range req.Docs {
-		docs[i] = wire.NormalizeMap(d)
-	}
-	ids, err := n.store.C(req.Collection).InsertMany(docs)
+	ids, err := n.store.C(req.Collection).InsertMany(req.Docs)
 	if err != nil {
 		return fmt.Errorf("cluster: insertMany %s: %w", req.Collection, err)
 	}
@@ -182,7 +177,7 @@ func (n *Node) handleBulkWrite(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	res, err := n.store.C(req.Collection).BulkWrite(req.ToBulkOps())
+	res, err := n.store.C(req.Collection).BulkWrite(req.Ops)
 	if err != nil {
 		return fmt.Errorf("cluster: bulkWrite %s: %w", req.Collection, err)
 	}
@@ -194,9 +189,9 @@ func (n *Node) handleFind(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	c, filter, opts := n.store.C(req.Collection), wire.NormalizeMap(req.Filter), req.Opts.ToFindOpts()
+	c, opts := n.store.C(req.Collection), req.Opts.ToFindOpts()
 	err := writeReply(w, func(dst []byte) ([]byte, error) {
-		return wire.AppendDocsReply(dst, func(dst []byte) ([]byte, error) { return c.AppendFind(dst, filter, opts) })
+		return wire.AppendDocsReply(dst, func(dst []byte) ([]byte, error) { return c.AppendFind(dst, req.Filter, opts) })
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: find %s: %w", req.Collection, err)
@@ -209,7 +204,7 @@ func (n *Node) handleCount(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	c, err := n.store.C(req.Collection).Count(wire.NormalizeMap(req.Filter))
+	c, err := n.store.C(req.Collection).Count(req.Filter)
 	if err != nil {
 		return fmt.Errorf("cluster: count %s: %w", req.Collection, err)
 	}
@@ -240,9 +235,9 @@ func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) error {
 	var res datastore.UpdateResult
 	var err error
 	if req.Many {
-		res, err = c.UpdateMany(wire.NormalizeMap(req.Filter), wire.NormalizeMap(req.Update))
+		res, err = c.UpdateMany(req.Filter, req.Update)
 	} else {
-		res, err = c.UpdateOne(wire.NormalizeMap(req.Filter), wire.NormalizeMap(req.Update))
+		res, err = c.UpdateOne(req.Filter, req.Update)
 	}
 	if err != nil {
 		return fmt.Errorf("cluster: update %s: %w", req.Collection, err)
@@ -255,7 +250,7 @@ func (n *Node) handleRemove(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	c, err := n.store.C(req.Collection).Remove(wire.NormalizeMap(req.Filter))
+	c, err := n.store.C(req.Collection).Remove(req.Filter)
 	if err != nil {
 		return fmt.Errorf("cluster: remove %s: %w", req.Collection, err)
 	}
@@ -267,7 +262,7 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	c, pipeline := n.store.C(req.Collection), wire.NormalizePipeline(req.Pipeline)
+	c, pipeline := n.store.C(req.Collection), req.Pipeline
 	run := c.Aggregate
 	if req.Partial {
 		run = c.AggregatePartial
@@ -284,7 +279,7 @@ func (n *Node) handleDistinct(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	vals, err := n.store.C(req.Collection).Distinct(req.Path, wire.NormalizeMap(req.Filter))
+	vals, err := n.store.C(req.Collection).Distinct(req.Path, req.Filter)
 	if err != nil {
 		return fmt.Errorf("cluster: distinct %s: %w", req.Collection, err)
 	}
@@ -305,7 +300,7 @@ func (n *Node) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	if err := wire.DecodeJSON(r.Body, &req); err != nil {
 		return badRequest("%v", err)
 	}
-	plan, err := n.store.C(req.Collection).Explain(wire.NormalizeMap(req.Filter), req.Opts.ToFindOpts())
+	plan, err := n.store.C(req.Collection).Explain(req.Filter, req.Opts.ToFindOpts())
 	if err != nil {
 		return badRequest("cluster: explain %s: %v", req.Collection, err)
 	}

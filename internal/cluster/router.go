@@ -607,7 +607,7 @@ func (r *Router) groupRead(cached bool, collection string, gi int, op string, re
 // journals (and ships) carries it, and hashes the _id to its shard group.
 // A non-string _id is rejected with the standalone store's error.
 func (r *Router) place(doc document.D) (document.D, int, error) {
-	d := document.NormalizeDoc(doc).Copy()
+	d := document.NormalizeDoc(doc)
 	raw, has := d["_id"]
 	if !has {
 		raw = mintID()
@@ -629,7 +629,7 @@ func (r *Router) Insert(collection string, doc document.D) (string, error) {
 	}
 	err = r.writeOnGroup(collection, gi, func(m *member) error {
 		var resp wire.InsertResponse
-		if err := r.call(m, wire.PathInsert, wire.InsertRequest{Collection: collection, Doc: map[string]any(d)}, &resp); err != nil {
+		if err := r.call(m, wire.PathInsert, wire.InsertRequest{Collection: collection, Doc: d}, &resp); err != nil {
 			return err
 		}
 		m.noteGen(resp.Gen)
@@ -759,7 +759,7 @@ func (r *Router) explain(collection string, filter document.D, opts *datastore.F
 	plans := make([]document.D, len(targets))
 	err = r.scatter(targets, func(gi int) error {
 		var resp wire.DocResponse
-		req := wire.ExplainRequest{Collection: collection, Filter: wireMap(filter), Opts: wire.FromFindOpts(opts)}
+		req := wire.ExplainRequest{Collection: collection, Filter: filter, Opts: wire.FromFindOpts(opts)}
 		if err := r.readOnGroup(gi, wire.PathExplain, req, &resp); err != nil {
 			return err
 		}
@@ -805,7 +805,7 @@ func (r *Router) Remove(collection string, filter document.D) (int, error) {
 	err = r.scatter(targets, func(gi int) error {
 		return r.writeOnGroup(collection, gi, func(m *member) error {
 			var resp wire.CountResponse
-			if err := r.call(m, wire.PathRemove, wire.RemoveRequest{Collection: collection, Filter: wireMap(filter)}, &resp); err != nil {
+			if err := r.call(m, wire.PathRemove, wire.RemoveRequest{Collection: collection, Filter: filter}, &resp); err != nil {
 				return err
 			}
 			m.noteGen(resp.Gen)
@@ -830,7 +830,7 @@ func (r *Router) updateMany(collection string, filter, update document.D) (datas
 	err = r.scatter(targets, func(gi int) error {
 		return r.writeOnGroup(collection, gi, func(m *member) error {
 			var resp wire.UpdateResponse
-			req := wire.UpdateRequest{Collection: collection, Filter: wireMap(filter), Update: wireMap(update), Many: true}
+			req := wire.UpdateRequest{Collection: collection, Filter: filter, Update: update, Many: true}
 			if err := r.call(m, wire.PathUpdate, req, &resp); err != nil {
 				return err
 			}
@@ -898,7 +898,7 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 	}
 	results := make([][]document.D, len(targets))
 	err = r.scatter(targets, func(gi int) error {
-		req := wire.FindRequest{Collection: collection, Filter: wireMap(filter), Opts: wire.FromFindOpts(perShard)}
+		req := wire.FindRequest{Collection: collection, Filter: filter, Opts: wire.FromFindOpts(perShard)}
 		v, err := r.groupRead(cached, collection, gi, "find", req, func() (any, error) {
 			var resp wire.DocsResponse
 			if err := r.readOnGroupStale(gi, wire.PathFind, req, &resp, maxStale); err != nil {
@@ -949,7 +949,7 @@ func (r *Router) count(collection string, filter document.D) (int, error) {
 	total := 0
 	var mu sync.Mutex
 	err = r.scatter(targets, func(gi int) error {
-		req := wire.CountRequest{Collection: collection, Filter: wireMap(filter)}
+		req := wire.CountRequest{Collection: collection, Filter: filter}
 		v, err := r.groupRead(true, collection, gi, "count", req, func() (any, error) {
 			var resp wire.CountResponse
 			if err := r.readOnGroup(gi, wire.PathCount, req, &resp); err != nil {
@@ -976,17 +976,13 @@ func (r *Router) distinct(collection, path string, filter document.D) ([]any, er
 	}
 	lists := make([][]any, len(targets))
 	err = r.scatter(targets, func(gi int) error {
-		req := wire.DistinctRequest{Collection: collection, Path: path, Filter: wireMap(filter)}
+		req := wire.DistinctRequest{Collection: collection, Path: path, Filter: filter}
 		v, err := r.groupRead(true, collection, gi, "distinct", req, func() (any, error) {
 			var resp wire.DistinctResponse
 			if err := r.readOnGroup(gi, wire.PathDistinct, req, &resp); err != nil {
 				return nil, err
 			}
-			vals := make([]any, len(resp.Values))
-			for i, rv := range resp.Values {
-				vals[i] = document.Normalize(rv)
-			}
-			return vals, nil
+			return resp.Values, nil
 		})
 		if err != nil {
 			return err
@@ -1002,14 +998,6 @@ func (r *Router) distinct(collection, path string, filter document.D) ([]any, er
 		return nil, err
 	}
 	return mergeDistinct(lists), nil
-}
-
-// wireMap converts a document to its wire form (nil stays nil).
-func wireMap(d document.D) map[string]any {
-	if d == nil {
-		return nil
-	}
-	return map[string]any(d)
 }
 
 func toDoc(v any) (document.D, bool) {

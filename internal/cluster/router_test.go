@@ -147,3 +147,35 @@ func TestRoutedDistinctMatchesStandalone(t *testing.T) {
 		t.Errorf("mixed distinct = %v, want 4 values (3 and 3.0 collapse)", got)
 	}
 }
+
+// TestRoutedSortedReadPlansLikeStandalone: a sorted read without a
+// projection reaches the nodes without one, so each shard's planner may
+// emit in index order, as a standalone store's does.
+func TestRoutedSortedReadPlansLikeStandalone(t *testing.T) {
+	tc := startCluster(t, 2, 0)
+	local := datastore.MustOpenMemory()
+	seedMaterials(t, tc.router.C("materials"), 40)
+	seedMaterials(t, localColl{local.C("materials")}, 40)
+	tc.router.EnsureOrderedIndex("materials", "band_gap")
+	local.C("materials").EnsureOrderedIndex("band_gap")
+
+	filter := document.D{"band_gap": document.D{"$gte": 1.0}}
+	opts := &datastore.FindOpts{Sort: []string{"band_gap"}, Limit: 3}
+	want, err := local.C("materials").Explain(filter, opts)
+	if err != nil || want["sort_satisfied"] != true {
+		t.Fatalf("standalone plan %v, err %v: want sort_satisfied", want, err)
+	}
+	plan, err := tc.router.C("materials").Explain(filter, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, _ := plan["shards"].([]any)
+	if len(shards) != 2 {
+		t.Fatalf("routed plan has %d shard plans: %v", len(shards), plan)
+	}
+	for _, s := range shards {
+		if sp, _ := s.(document.D); sp["sort_satisfied"] != true {
+			t.Errorf("shard plan %v: want sort_satisfied, as standalone", s)
+		}
+	}
+}

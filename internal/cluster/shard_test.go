@@ -1,64 +1,22 @@
-// Package shard_test checks the sharding and replication semantics the
-// paper leaves to MongoDB (§IV-D2) against the router that mpserve runs:
-// hash placement on _id, scatter-gather equivalence with one store,
-// synchronous replication of writes and index definitions, and replica
-// promotion on failover. It holds tests only; the code under test is
-// matproj/internal/cluster, driven through its exported API over live
-// httptest nodes.
-package shard_test
+package cluster_test
+
+// The sharding and replication semantics the paper leaves to MongoDB
+// (§IV-D2), checked against the router over live httptest nodes: hash
+// placement on _id, scatter-gather equivalence with one store,
+// replication of writes and index definitions, and replica promotion on
+// failover.
 
 import (
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 
-	"matproj/internal/cluster"
 	"matproj/internal/datastore"
 	"matproj/internal/document"
-	"matproj/internal/obs"
 	"matproj/internal/queryengine"
 )
 
 func doc(s string) document.D { return document.MustFromJSON(s) }
-
-// testCluster is shards groups of 1+replicas members behind one router.
-type testCluster struct {
-	router *cluster.Router
-	reg    *obs.Registry
-	// servers[gi][mi] backs nodes[gi][mi]; member 0 starts as primary.
-	servers [][]*httptest.Server
-	nodes   [][]*cluster.Node
-}
-
-func startCluster(t *testing.T, shards, replicas int) *testCluster {
-	t.Helper()
-	tc := &testCluster{reg: obs.NewRegistry()}
-	var groups [][]string
-	for gi := 0; gi < shards; gi++ {
-		var urls []string
-		var srvs []*httptest.Server
-		var nodes []*cluster.Node
-		for mi := 0; mi <= replicas; mi++ {
-			n := cluster.NewNode(fmt.Sprintf("node-%d-%d", gi, mi), datastore.MustOpenMemory(), tc.reg)
-			srv := httptest.NewServer(n)
-			t.Cleanup(srv.Close)
-			urls = append(urls, srv.URL)
-			srvs = append(srvs, srv)
-			nodes = append(nodes, n)
-		}
-		groups = append(groups, urls)
-		tc.servers = append(tc.servers, srvs)
-		tc.nodes = append(tc.nodes, nodes)
-	}
-	r, err := cluster.NewRouter(cluster.RouterOptions{Groups: groups, Registry: tc.reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	tc.router = r
-	return tc
-}
 
 // seeded boots a cluster and inserts n materials through the router,
 // leaving _id unset so the router mints it.

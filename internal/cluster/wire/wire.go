@@ -6,12 +6,12 @@
 // anatomy stays a router-only concern and nodes remain dumb storage.
 //
 // Number fidelity matters on this boundary: documents round-trip through
-// JSON, so every decode keeps integral values int64 and the rest float64 —
-// the canonicalization the datastore applies on insert. Document replies
-// (DocsResponse, DocResponse) are appended with document.AppendJSON and
-// parsed with document.ParseJSON in one pass; the small request and
-// acknowledgement types use encoding/json with json.Number +
-// document.Normalize. Both write the same bytes.
+// JSON, so a decode must keep integral values int64 and the rest float64,
+// as the datastore stores them. JSON becomes a document only through
+// document.ParseJSON: every document field is a document.D, which decodes
+// itself with it, and document replies (DocsResponse, DocResponse) and
+// distinct values are parsed with it in one pass. Encoding needs no rule:
+// document.AppendJSON and encoding/json write the same bytes.
 package wire
 
 import (
@@ -60,10 +60,10 @@ const HeaderReplHead = "X-Repl-Head"
 
 // FindOpts is the wire form of datastore.FindOpts.
 type FindOpts struct {
-	Projection map[string]any `json:"projection,omitempty"`
-	Sort       []string       `json:"sort,omitempty"`
-	Skip       int            `json:"skip,omitempty"`
-	Limit      int            `json:"limit,omitempty"`
+	Projection document.D `json:"projection,omitempty"`
+	Sort       []string   `json:"sort,omitempty"`
+	Skip       int        `json:"skip,omitempty"`
+	Limit      int        `json:"limit,omitempty"`
 	// MaxStaleness (generations) permits follower reads; routing-only,
 	// but it rides the wire form so it lands in result-cache keys.
 	MaxStaleness int `json:"max_staleness,omitempty"`
@@ -94,7 +94,7 @@ func (o *FindOpts) ToFindOpts() *datastore.FindOpts {
 		return nil
 	}
 	return &datastore.FindOpts{
-		Projection:   document.NormalizeDoc(document.D(o.Projection)),
+		Projection:   o.Projection,
 		Sort:         o.Sort,
 		Skip:         o.Skip,
 		Limit:        o.Limit,
@@ -105,8 +105,8 @@ func (o *FindOpts) ToFindOpts() *datastore.FindOpts {
 
 // InsertRequest writes one document to a node.
 type InsertRequest struct {
-	Collection string         `json:"collection"`
-	Doc        map[string]any `json:"doc"`
+	Collection string     `json:"collection"`
+	Doc        document.D `json:"doc"`
 }
 
 // InsertResponse reports the stored id and the node's resulting
@@ -122,8 +122,8 @@ type InsertResponse struct {
 // through the datastore's single-lock batch path, so the whole
 // sub-batch rides one group-commit fsync.
 type InsertManyRequest struct {
-	Collection string           `json:"collection"`
-	Docs       []map[string]any `json:"docs"`
+	Collection string       `json:"collection"`
+	Docs       []document.D `json:"docs"`
 }
 
 // InsertManyResponse reports the assigned ids (in input order) and the
@@ -133,47 +133,11 @@ type InsertManyResponse struct {
 	Gen uint64   `json:"gen,omitempty"`
 }
 
-// BulkOp is the wire form of datastore.BulkOp.
-type BulkOp struct {
-	Op     string         `json:"op"`
-	Doc    map[string]any `json:"doc,omitempty"`
-	Filter map[string]any `json:"filter,omitempty"`
-	Update map[string]any `json:"update,omitempty"`
-}
-
-// FromBulkOps converts datastore bulk ops to their wire form.
-func FromBulkOps(ops []datastore.BulkOp) []BulkOp {
-	out := make([]BulkOp, len(ops))
-	for i, op := range ops {
-		out[i] = BulkOp{
-			Op:     op.Op,
-			Doc:    map[string]any(op.Doc),
-			Filter: map[string]any(op.Filter),
-			Update: map[string]any(op.Update),
-		}
-	}
-	return out
-}
-
-// ToBulkOps canonicalizes wire bulk ops back to datastore ops.
-func (ops BulkWriteRequest) ToBulkOps() []datastore.BulkOp {
-	out := make([]datastore.BulkOp, len(ops.Ops))
-	for i, op := range ops.Ops {
-		out[i] = datastore.BulkOp{
-			Op:     op.Op,
-			Doc:    NormalizeMap(op.Doc),
-			Filter: NormalizeMap(op.Filter),
-			Update: NormalizeMap(op.Update),
-		}
-	}
-	return out
-}
-
 // BulkWriteRequest applies a mixed insert/update/delete batch on a node
 // (a per-shard sub-batch of a routed BulkWrite).
 type BulkWriteRequest struct {
-	Collection string   `json:"collection"`
-	Ops        []BulkOp `json:"ops"`
+	Collection string             `json:"collection"`
+	Ops        []datastore.BulkOp `json:"ops"`
 }
 
 // BulkOpResult is the wire form of one op's outcome; Error is set on
@@ -215,9 +179,9 @@ func FromBulkResult(r datastore.BulkResult, gen uint64) BulkWriteResponse {
 
 // FindRequest runs a filtered read on a node.
 type FindRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
-	Opts       *FindOpts      `json:"opts,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
+	Opts       *FindOpts  `json:"opts,omitempty"`
 }
 
 // DocsResponse carries a result set as canonical documents.
@@ -272,8 +236,8 @@ func (r *DocsResponse) parseJSON(b []byte) error {
 
 // CountRequest counts matching documents.
 type CountRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
 }
 
 // CountResponse reports a count (also used for Remove, where Gen
@@ -349,10 +313,10 @@ func asDoc(v any) (document.D, error) {
 
 // UpdateRequest applies an update on a node.
 type UpdateRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
-	Update     map[string]any `json:"update"`
-	Many       bool           `json:"many"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
+	Update     document.D `json:"update"`
+	Many       bool       `json:"many"`
 }
 
 // UpdateResponse reports what the update did, plus the node's resulting
@@ -365,8 +329,8 @@ type UpdateResponse struct {
 
 // RemoveRequest deletes matching documents.
 type RemoveRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
 }
 
 // AggregateRequest runs a (pre-sanitized) pipeline on a node. With
@@ -374,21 +338,37 @@ type RemoveRequest struct {
 // (datastore.Splittable) and the node answers with that stage's partial
 // state rows (datastore.AggregatePartial) for the router to combine.
 type AggregateRequest struct {
-	Collection string           `json:"collection"`
-	Pipeline   []map[string]any `json:"pipeline"`
-	Partial    bool             `json:"partial,omitempty"`
+	Collection string       `json:"collection"`
+	Pipeline   []document.D `json:"pipeline"`
+	Partial    bool         `json:"partial,omitempty"`
 }
 
 // DistinctRequest lists distinct values of a path.
 type DistinctRequest struct {
-	Collection string         `json:"collection"`
-	Path       string         `json:"path"`
-	Filter     map[string]any `json:"filter,omitempty"`
+	Collection string     `json:"collection"`
+	Path       string     `json:"path"`
+	Filter     document.D `json:"filter,omitempty"`
 }
 
 // DistinctResponse carries the distinct values.
 type DistinctResponse struct {
 	Values []any `json:"values"`
+}
+
+func (r *DistinctResponse) parseJSON(b []byte) error {
+	fields, err := parseObject(b)
+	if err != nil || fields == nil {
+		return err
+	}
+	switch vals := fields["values"].(type) {
+	case nil:
+		r.Values = nil
+	case []any:
+		r.Values = vals
+	default:
+		return fmt.Errorf("values is %T, not an array", vals)
+	}
+	return nil
 }
 
 // EnsureIndexRequest creates a secondary index over the given dotted
@@ -400,9 +380,9 @@ type EnsureIndexRequest struct {
 
 // ExplainRequest asks a node for its planner's decision on a query.
 type ExplainRequest struct {
-	Collection string         `json:"collection"`
-	Filter     map[string]any `json:"filter,omitempty"`
-	Opts       *FindOpts      `json:"opts,omitempty"`
+	Collection string     `json:"collection"`
+	Filter     document.D `json:"filter,omitempty"`
+	Opts       *FindOpts  `json:"opts,omitempty"`
 }
 
 // OKResponse acknowledges a side-effect-only request. Gen is the node's
@@ -455,21 +435,18 @@ func AppendReply(dst []byte, v any) ([]byte, error) {
 	return append(append(dst, b...), '\n'), nil
 }
 
-// DecodeJSON decodes JSON preserving number fidelity (json.Number), so a
-// subsequent document.Normalize restores int64/float64 exactly as the
-// datastore would on a local insert.
+// DecodeJSON decodes a small request or acknowledgement; its documents
+// are document.D fields, which parse themselves with document.ParseJSON.
 func DecodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
+	if err := json.NewDecoder(r).Decode(v); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
 	return nil
 }
 
-// DecodeJSONBytes is DecodeJSON over a byte slice. A *DocsResponse or
-// *DocResponse is parsed in one pass into canonical documents instead,
-// so its documents need no Normalize.
+// DecodeJSONBytes is DecodeJSON over a byte slice. A *DocsResponse,
+// *DocResponse or *DistinctResponse is parsed in one pass with
+// document.ParseJSON instead.
 func DecodeJSONBytes(b []byte, v any) error {
 	if r, ok := v.(interface{ parseJSON([]byte) error }); ok {
 		if err := r.parseJSON(b); err != nil {
@@ -478,21 +455,4 @@ func DecodeJSONBytes(b []byte, v any) error {
 		return nil
 	}
 	return DecodeJSON(bytes.NewReader(b), v)
-}
-
-// NormalizeMap canonicalizes a decoded wire map into a document.
-func NormalizeMap(m map[string]any) document.D {
-	if m == nil {
-		return nil
-	}
-	return document.NormalizeDoc(document.D(m))
-}
-
-// NormalizePipeline canonicalizes a decoded wire pipeline.
-func NormalizePipeline(stages []map[string]any) []document.D {
-	out := make([]document.D, len(stages))
-	for i, st := range stages {
-		out[i] = document.NormalizeDoc(document.D(st))
-	}
-	return out
 }

@@ -8,22 +8,23 @@ import (
 	"strings"
 	"testing"
 
+	"matproj/internal/datastore"
 	"matproj/internal/document"
 )
 
-// roundTrip sends a document over the wire once more: encode, decode,
-// normalize.
+// roundTrip sends a document over the wire once more: encode, then
+// decode into a document.D field's type.
 func roundTrip(t *testing.T, doc document.D) document.D {
 	t.Helper()
 	out, err := json.Marshal(doc)
 	if err != nil {
-		t.Fatalf("normalized document %v does not encode: %v", doc, err)
+		t.Fatalf("decoded document %v does not encode: %v", doc, err)
 	}
-	var m map[string]any
-	if err := DecodeJSONBytes(out, &m); err != nil {
+	var d document.D
+	if err := DecodeJSONBytes(out, &d); err != nil {
 		t.Fatalf("re-decode %s: %v", out, err)
 	}
-	return NormalizeMap(m)
+	return d
 }
 
 // FuzzDecodeJSONBytes checks the wire decoder on arbitrary bytes: it
@@ -47,11 +48,11 @@ func FuzzDecodeJSONBytes(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var m map[string]any
-		if err := DecodeJSONBytes(b, &m); err != nil {
+		var d document.D
+		if err := DecodeJSONBytes(b, &d); err != nil {
 			return
 		}
-		once := roundTrip(t, NormalizeMap(m))
+		once := roundTrip(t, d)
 		if twice := roundTrip(t, once); !document.Equal(once, twice) {
 			t.Fatalf("second trip changed the document:\n first  %v\n second %v", once, twice)
 		}
@@ -101,6 +102,31 @@ func TestDocRepliesKeepTheirBytes(t *testing.T) {
 			Doc map[string]any `json:"doc,omitempty"`
 		}{}},
 		{"count", CountResponse{N: 3, Gen: 7}, CountResponse{N: 3, Gen: 7}},
+		// Requests: document.D fields write what the map fields wrote.
+		{"find", FindRequest{Collection: "m", Filter: docs[0], Opts: &FindOpts{Projection: docs[1], Limit: 2}},
+			struct {
+				Collection string         `json:"collection"`
+				Filter     map[string]any `json:"filter,omitempty"`
+				Opts       any            `json:"opts,omitempty"`
+			}{"m", raw[0], struct {
+				Projection map[string]any `json:"projection,omitempty"`
+				Limit      int            `json:"limit,omitempty"`
+			}{raw[1], 2}}},
+		{"bulk", BulkWriteRequest{Collection: "m", Ops: []datastore.BulkOp{{Op: "insert", Doc: docs[0]}, {Op: "delete", Filter: docs[1]}}},
+			struct {
+				Collection string `json:"collection"`
+				Ops        []struct {
+					Op     string         `json:"op"`
+					Doc    map[string]any `json:"doc,omitempty"`
+					Filter map[string]any `json:"filter,omitempty"`
+					Update map[string]any `json:"update,omitempty"`
+				} `json:"ops"`
+			}{"m", []struct {
+				Op     string         `json:"op"`
+				Doc    map[string]any `json:"doc,omitempty"`
+				Filter map[string]any `json:"filter,omitempty"`
+				Update map[string]any `json:"update,omitempty"`
+			}{{Op: "insert", Doc: raw[0]}, {Op: "delete", Filter: raw[1]}}}},
 	} {
 		got, err := AppendReply([]byte("x"), tc.reply)
 		if err != nil {
@@ -111,22 +137,31 @@ func TestDocRepliesKeepTheirBytes(t *testing.T) {
 		}
 	}
 
+	// A reply parses in one pass to the documents a []document.D field
+	// decodes to, and re-encoding them gives bytes that parse back to the
+	// same documents.
 	body := encoderBytes(t, oldDocsResponse{Docs: raw})
-	var old oldDocsResponse
-	if err := DecodeJSON(bytes.NewReader(body), &old); err != nil {
+	var field struct {
+		Docs []document.D `json:"docs"`
+	}
+	if err := DecodeJSON(bytes.NewReader(body), &field); err != nil {
 		t.Fatal(err)
 	}
 	var got DocsResponse
 	if err := DecodeJSONBytes(body, &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Docs) != len(old.Docs) {
-		t.Fatalf("parsed %d documents, want %d", len(got.Docs), len(old.Docs))
+	if !reflect.DeepEqual(got.Docs, field.Docs) {
+		t.Errorf("reply parsed to %#v, a []document.D field to %#v", got.Docs, field.Docs)
 	}
-	for i := range old.Docs {
-		if want := NormalizeMap(old.Docs[i]); !reflect.DeepEqual(got.Docs[i], want) {
-			t.Errorf("document %d: parsed %#v, decode + Normalize gave %#v", i, got.Docs[i], want)
-		}
+	var again DocsResponse
+	if err := DecodeJSONBytes(encoderBytes(t, got), &again); err != nil || !reflect.DeepEqual(again.Docs, got.Docs) {
+		t.Errorf("second trip parsed to %#v, %v; want %#v", again.Docs, err, got.Docs)
+	}
+	var distinct DistinctResponse
+	if err := DecodeJSONBytes([]byte(`{"values":[9007199254740993,2.5,"x",{"a":1}]}`), &distinct); err != nil ||
+		!reflect.DeepEqual(distinct.Values, []any{int64(9007199254740993), 2.5, "x", map[string]any{"a": int64(1)}}) {
+		t.Errorf("DistinctResponse parsed to %#v, %v", distinct.Values, err)
 	}
 	var one DocResponse
 	if err := DecodeJSONBytes(encoderBytes(t, DocResponse{Doc: docs[1]}), &one); err != nil || !document.Equal(one.Doc, docs[1]) {

@@ -8,17 +8,18 @@ import (
 	"matproj/internal/query"
 )
 
-// BulkOp is one operation in a BulkWrite batch.
+// BulkOp is one operation in a BulkWrite batch. Its JSON form is the
+// bulkWrite op of the REST API and of the node transport.
 type BulkOp struct {
 	// Op selects the operation: "insert", "updateOne", "updateMany" or
 	// "delete".
-	Op string
+	Op string `json:"op"`
 	// Doc is the document to insert (insert only).
-	Doc document.D
+	Doc document.D `json:"doc,omitempty"`
 	// Filter selects documents for updateOne/updateMany/delete.
-	Filter document.D
+	Filter document.D `json:"filter,omitempty"`
 	// Update is the update body for updateOne/updateMany.
-	Update document.D
+	Update document.D `json:"update,omitempty"`
 }
 
 // Bulk op names.
@@ -155,7 +156,7 @@ func (c *Collection) compileBulkOp(op BulkOp) bulkCompiled {
 	co := bulkCompiled{op: op.Op}
 	switch op.Op {
 	case BulkInsert:
-		d := document.NormalizeDoc(op.Doc).Copy()
+		d := document.NormalizeDoc(op.Doc)
 		id, hasID := d["_id"].(string)
 		if !hasID {
 			if raw, ok := d["_id"]; ok {

@@ -119,11 +119,11 @@ func (c *Collection) Stats() CollStats {
 }
 
 // Insert stores a document. If it has no "_id", one is assigned; the
-// (possibly new) id is returned. The stored document is a deep copy: the
-// caller's document is never aliased.
+// (possibly new) id is returned. The stored document is NormalizeDoc's
+// fresh tree: the caller's document is never aliased.
 func (c *Collection) Insert(doc document.D) (string, error) {
 	start := time.Now()
-	d := document.NormalizeDoc(doc).Copy()
+	d := document.NormalizeDoc(doc)
 	id, hasID := d["_id"].(string)
 	if !hasID {
 		if raw, ok := d["_id"]; ok {
@@ -164,7 +164,7 @@ func (c *Collection) InsertMany(docs []document.D) ([]string, error) {
 	ids := make([]string, len(docs))
 	seen := make(map[string]struct{}, len(docs))
 	for i, doc := range docs {
-		d := document.NormalizeDoc(doc).Copy()
+		d := document.NormalizeDoc(doc)
 		id, hasID := d["_id"].(string)
 		if !hasID {
 			if raw, ok := d["_id"]; ok {

@@ -284,23 +284,19 @@ func (j *journal) syncTimed(f *os.File) error {
 // handed to commit (after the collection lock is released) to make the
 // record durable; nil means there was nothing to stage.
 func (j *journal) stage(rec journalRecord) *commitTicket {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil
-	}
 	j.qmu.Lock()
 	defer j.qmu.Unlock()
 	// Mint the generation atomically with enqueueing: a dropped append
 	// still mutated memory, so its generation must stay burned —
 	// followers detect the hole (head advanced, entry unavailable) and
 	// fall back to a snapshot copy instead of believing they are caught
-	// up.
+	// up. The record is encoded once, with its generation.
 	if j.repl != nil && rec.Gen == 0 && rec.Op != journalMeta {
 		rec.Gen = j.repl.next()
-		b, err = json.Marshal(rec)
-		if err != nil {
-			return nil
-		}
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return nil
 	}
 	t := &commitTicket{ch: make(chan struct{})}
 	j.pending = append(j.pending, pendingFrame{line: encodeLine(b), gen: rec.Gen, t: t})

@@ -9,7 +9,6 @@
 package document
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -26,16 +25,39 @@ type D map[string]any
 // New returns an empty document.
 func New() D { return D{} }
 
-// FromJSON decodes a JSON object into a document. Numbers are decoded with
-// json.Number and normalized: integral values become int64, others float64.
-func FromJSON(data []byte) (D, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var raw map[string]any
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("document: decode: %w", err)
+// UnmarshalJSON makes a document decode itself with ParseJSON, so every
+// JSON field typed D or []D arrives canonical: an integral literal that
+// fits int64 is int64 (every digit of a value beyond 2^53 kept), any other
+// number float64. null gives a nil document; any other non-object is an
+// error.
+func (d *D) UnmarshalJSON(b []byte) error {
+	v, err := ParseJSON(b)
+	if err != nil {
+		return fmt.Errorf("document: decode: %w", err)
 	}
-	return Normalize(raw).(map[string]any), nil
+	switch m := v.(type) {
+	case nil:
+		*d = nil
+	case map[string]any:
+		*d = m
+	default:
+		return fmt.Errorf("document: decode: %T is not an object", v)
+	}
+	return nil
+}
+
+// FromJSON decodes a JSON object into a document by the rule of
+// UnmarshalJSON. The input must be exactly one object: trailing bytes
+// and null are errors.
+func FromJSON(data []byte) (D, error) {
+	var d D
+	if err := d.UnmarshalJSON(data); err != nil {
+		return nil, err
+	}
+	if d == nil {
+		return nil, fmt.Errorf("document: decode: null is not an object")
+	}
+	return d, nil
 }
 
 // MustFromJSON is FromJSON that panics on error; intended for tests and
@@ -68,7 +90,8 @@ func (d D) String() string {
 // rule ParseJSON applies (a literal beyond float64's range stays a
 // string); int, int32, uint, float32 and friends widen to int64/float64;
 // maps become map[string]any and slices []any. Strings, bools and nil
-// pass through.
+// pass through. Every map and slice of the result is new, so the result
+// is a deep copy that never aliases v.
 func Normalize(v any) any {
 	switch x := v.(type) {
 	case nil, bool, string:
@@ -153,13 +176,11 @@ func Normalize(v any) any {
 		if err != nil {
 			return fmt.Sprint(x)
 		}
-		dec := json.NewDecoder(bytes.NewReader(b))
-		dec.UseNumber()
-		var out any
-		if err := dec.Decode(&out); err != nil {
+		out, err := ParseJSON(b)
+		if err != nil {
 			return fmt.Sprint(x)
 		}
-		return Normalize(out)
+		return out
 	}
 }
 

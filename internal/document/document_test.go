@@ -37,6 +37,45 @@ func TestFromJSONRejectsNonObject(t *testing.T) {
 	if _, err := FromJSON([]byte(`{bad`)); err == nil {
 		t.Error("FromJSON of malformed input: want error, got nil")
 	}
+	// FromJSON takes exactly one object, as ParseJSON does: trailing
+	// bytes and null are errors (a json.Decoder read the first value,
+	// ignored the rest, and turned null into an empty document).
+	if _, err := FromJSON([]byte(`{"a": 1} {"b": 2}`)); err == nil {
+		t.Error("FromJSON with trailing bytes: want error, got nil")
+	}
+	if _, err := FromJSON([]byte(`null`)); err == nil {
+		t.Error("FromJSON of null: want error, got nil")
+	}
+}
+
+// TestUnmarshalJSONFieldsAreCanonical checks that encoding/json decodes
+// D and []D fields through ParseJSON: integers keep every digit as
+// int64, null gives a nil document, and a non-object is an error.
+func TestUnmarshalJSONFieldsAreCanonical(t *testing.T) {
+	var req struct {
+		Doc    D   `json:"doc"`
+		Docs   []D `json:"docs"`
+		Filter D   `json:"filter"`
+	}
+	body := `{"doc": {"n": 9007199254740993, "f": 2.5, "sub": {"k": [1, 2.0]}}, "docs": [{"i": 3}, null], "filter": null}`
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	want := D{"n": int64(9007199254740993), "f": 2.5, "sub": map[string]any{"k": []any{int64(1), 2.0}}}
+	if !reflect.DeepEqual(req.Doc, want) {
+		t.Errorf("doc = %#v, want %#v", req.Doc, want)
+	}
+	if len(req.Docs) != 2 || !reflect.DeepEqual(req.Docs[0], D{"i": int64(3)}) || req.Docs[1] != nil {
+		t.Errorf("docs = %#v", req.Docs)
+	}
+	if req.Filter != nil {
+		t.Errorf("null filter = %#v, want nil", req.Filter)
+	}
+	for _, bad := range []string{`{"doc": [1]}`, `{"doc": 5}`, `{"docs": ["x"]}`} {
+		if err := json.Unmarshal([]byte(bad), &req); err == nil {
+			t.Errorf("%s: want error, got nil", bad)
+		}
+	}
 }
 
 func TestNormalizeWidensIntegerTypes(t *testing.T) {

@@ -31,15 +31,17 @@ const maxInterned = 4096
 const internMaxLen = 16
 
 // ParseJSON decodes one JSON value into canonical document values: the
-// result is exactly Normalize of an encoding/json decode with UseNumber.
-// Objects become map[string]any, arrays []any, an integral literal (no
-// fraction or exponent) that fits int64 becomes int64, any other number
-// float64. Input validity matches json.Unmarshal: one value, optionally
-// surrounded by whitespace; duplicate keys keep the last value; invalid
-// UTF-8 and lone surrogate escapes become U+FFFD; more than 10,000 nested
-// levels is an error. The one difference from UseNumber + Normalize is a
-// literal beyond float64's range (1e400): Normalize keeps it as the
-// string "1e400", ParseJSON rejects it, as json.Unmarshal does.
+// result is exactly Normalize of an encoding/json decode that keeps
+// numbers as json.Number. It is the one way JSON becomes a document
+// (D.UnmarshalJSON and FromJSON call it). Objects become map[string]any,
+// arrays []any, an integral literal (no fraction or exponent) that fits
+// int64 becomes int64, any other number float64. Input validity matches
+// json.Unmarshal: one value, optionally surrounded by whitespace;
+// duplicate keys keep the last value; invalid UTF-8 and lone surrogate
+// escapes become U+FFFD; more than 10,000 nested levels is an error. The
+// one difference from that decode + Normalize is a literal beyond
+// float64's range (1e400): Normalize keeps it as the string "1e400",
+// ParseJSON rejects it, as json.Unmarshal does.
 func ParseJSON(b []byte) (any, error) {
 	p := parser{buf: b}
 	p.skipSpace()

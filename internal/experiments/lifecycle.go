@@ -162,19 +162,15 @@ func Fig4(sc Scale) (*Fig4Result, error) {
 	}
 	out := &Fig4Result{URI: "/rest/v1/materials/" + formula + "/vasp/energy", Status: resp.status, Body: resp.body}
 	var env struct {
-		Valid    bool             `json:"valid_response"`
-		Response []map[string]any `json:"response"`
+		Valid    bool         `json:"valid_response"`
+		Response []document.D `json:"response"`
 	}
 	if err := json.Unmarshal([]byte(resp.body), &env); err != nil {
 		return nil, err
 	}
 	if env.Valid && len(env.Response) > 0 {
-		if e, ok := env.Response[0]["energy"].(float64); ok {
-			out.Energy = e
-		}
-		if m, ok := env.Response[0]["material_id"].(string); ok {
-			out.Material = m
-		}
+		out.Energy, _ = env.Response[0].GetFloat("energy")
+		out.Material = env.Response[0].GetString("material_id")
 	}
 	return out, nil
 }

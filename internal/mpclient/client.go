@@ -60,12 +60,14 @@ func Signup(baseURL, provider, email string) (*Client, error) {
 	return New(baseURL, key), nil
 }
 
-// envelope is the API's standard response wrapper.
+// envelope is the API's standard response wrapper. Its rows decode as
+// documents, so numbers come back as the store holds them: int64 for an
+// integer, with every digit, and float64 otherwise.
 type envelope struct {
-	Valid    bool             `json:"valid_response"`
-	Error    string           `json:"error"`
-	Response []map[string]any `json:"response"`
-	NResults int              `json:"num_results"`
+	Valid    bool         `json:"valid_response"`
+	Error    string       `json:"error"`
+	Response []document.D `json:"response"`
+	NResults int          `json:"num_results"`
 }
 
 // APIError reports a non-2xx response. Retryable distinguishes transient
@@ -164,7 +166,7 @@ func (c *Client) Property(identifier, property string) ([]document.D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toDocs(env.Response), nil
+	return env.Response, nil
 }
 
 // Energy is the canonical example: the computed energy of a compound.
@@ -189,7 +191,7 @@ func (c *Client) Materials(identifier string) ([]document.D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toDocs(env.Response), nil
+	return env.Response, nil
 }
 
 // Query runs a structured query: Mongo-language criteria plus an
@@ -207,7 +209,7 @@ func (c *Client) Query(criteria document.D, properties []string, limit int) ([]d
 	if err != nil {
 		return nil, err
 	}
-	return toDocs(env.Response), nil
+	return env.Response, nil
 }
 
 // QueryOpts refines QueryWith beyond criteria and projection.
@@ -249,7 +251,7 @@ func (c *Client) QueryWith(criteria document.D, properties []string, opts QueryO
 	if err != nil {
 		return nil, err
 	}
-	return toDocs(env.Response), nil
+	return env.Response, nil
 }
 
 // Insert stores one document in the named collection (empty means the
@@ -348,26 +350,15 @@ func (c *Client) BulkWrite(collection string, ops []BulkOp) ([]BulkOpResult, err
 	return out, nil
 }
 
-// intField reads a JSON number out of an envelope row as an int.
-func intField(row map[string]any, key string) int {
-	switch v := row[key].(type) {
-	case float64:
-		return int(v)
-	case int64:
-		return int(v)
-	case int:
-		return v
-	}
-	return 0
+// intField reads an integer out of an envelope row as an int.
+func intField(row document.D, key string) int {
+	n, _ := row.GetInt(key)
+	return int(n)
 }
 
 // Aggregate runs a sanitized aggregation pipeline server-side.
 func (c *Client) Aggregate(pipeline []document.D) ([]document.D, error) {
-	stages := make([]map[string]any, len(pipeline))
-	for i, st := range pipeline {
-		stages[i] = map[string]any(st)
-	}
-	body, err := json.Marshal(map[string]any{"pipeline": stages})
+	body, err := json.Marshal(map[string]any{"pipeline": pipeline})
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +366,7 @@ func (c *Client) Aggregate(pipeline []document.D) ([]document.D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toDocs(env.Response), nil
+	return env.Response, nil
 }
 
 // BandStructure fetches a material's band structure.
@@ -384,11 +375,10 @@ func (c *Client) BandStructure(materialID string) (document.D, error) {
 	if err != nil {
 		return nil, err
 	}
-	docs := toDocs(env.Response)
-	if len(docs) == 0 {
+	if len(env.Response) == 0 {
 		return nil, fmt.Errorf("mpclient: no band structure for %q", materialID)
 	}
-	return docs[0], nil
+	return env.Response[0], nil
 }
 
 // XRD fetches a material's diffraction pattern document.
@@ -397,11 +387,10 @@ func (c *Client) XRD(materialID string) (document.D, error) {
 	if err != nil {
 		return nil, err
 	}
-	docs := toDocs(env.Response)
-	if len(docs) == 0 {
+	if len(env.Response) == 0 {
 		return nil, fmt.Errorf("mpclient: no XRD for %q", materialID)
 	}
-	return docs[0], nil
+	return env.Response[0], nil
 }
 
 // Batteries lists screened electrodes, optionally filtered by working
@@ -415,7 +404,7 @@ func (c *Client) Batteries(ion string) ([]document.D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toDocs(env.Response), nil
+	return env.Response, nil
 }
 
 // Entries fetches every material whose elements lie inside the given
@@ -490,12 +479,4 @@ func (c *Client) Entries(system []string, refEnergy func(symbol string) float64)
 		}
 	}
 	return entries, nil
-}
-
-func toDocs(rows []map[string]any) []document.D {
-	out := make([]document.D, len(rows))
-	for i, r := range rows {
-		out[i] = document.NormalizeDoc(document.D(r))
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"matproj/internal/document"
+	"matproj/internal/mpclient"
 )
 
 // postRaw performs an authenticated POST and returns the status and the
@@ -32,9 +33,9 @@ func postRaw(t *testing.T, srv *httptest.Server, key, path, body string) (int, s
 // TestIntegersKeepPrecisionThroughREST writes integers beyond 2^53
 // through insert, insertMany and bulkWrite, on a standalone and on a
 // routed backend, and reads them back through a query whose criteria
-// carry the same integer: every digit must survive, and the standalone
-// store must hold an integral literal as int64, as a journal replay
-// would.
+// carry the same integer, and through mpclient: every digit must
+// survive, and the standalone store must hold an integral literal as
+// int64, as a journal replay would.
 func TestIntegersKeepPrecisionThroughREST(t *testing.T) {
 	for _, backend := range []string{"standalone", "routed"} {
 		t.Run(backend, func(t *testing.T) {
@@ -68,6 +69,23 @@ func TestIntegersKeepPrecisionThroughREST(t *testing.T) {
 				status, body := postRaw(t, srv, key, "/rest/v1/query", `{"criteria": `+q.criteria+`}`)
 				if status != http.StatusOK || !strings.Contains(body, `"num_results":1`) || !strings.Contains(body, q.want) {
 					t.Errorf("query %s: status %d body %s, want one row with %s", q.criteria, status, body, q.want)
+				}
+			}
+			// mpclient reads the rows back as the store holds them: int64,
+			// with every digit.
+			client := mpclient.New(srv.URL, key)
+			for _, w := range []struct {
+				id string
+				n  int64
+			}{{"big-1", 9007199254740993}, {"big-2", 9007199254740995}, {"big-3", 9007199254740997}} {
+				docs, err := client.Query(document.D{"_id": w.id}, nil, 0)
+				if err != nil || len(docs) != 1 {
+					t.Fatalf("mpclient query %s: %d docs, err %v", w.id, len(docs), err)
+				}
+				for field, want := range map[string]int64{"n": w.n, "m": 3} {
+					if got, isInt := docs[0][field].(int64); !isInt || got != want {
+						t.Errorf("mpclient %s.%s = %v (%T), want int64 %d", w.id, field, docs[0][field], docs[0][field], want)
+					}
 				}
 			}
 			// A document that is not an object, or holds a literal beyond

@@ -135,29 +135,6 @@ func writeJSON(w http.ResponseWriter, status int, resp apiResponse) {
 	w.Write(body)
 }
 
-// requestDoc is a document in a request body. encoding/json hands its
-// bytes to document.ParseJSON, so it arrives canonical: an integer beyond
-// 2^53 keeps every digit and an integral literal is int64, as the wire,
-// the store and the journal keep it, with no json.Number and no second
-// normalizing pass.
-type requestDoc document.D
-
-func (d *requestDoc) UnmarshalJSON(b []byte) error {
-	v, err := document.ParseJSON(b)
-	if err != nil {
-		return fmt.Errorf("restapi: request document: %w", err)
-	}
-	switch m := v.(type) {
-	case nil:
-		*d = nil
-	case map[string]any:
-		*d = m
-	default:
-		return fmt.Errorf("restapi: request document is %T, not an object", v)
-	}
-	return nil
-}
-
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiResponse{Valid: false, Error: fmt.Sprintf(format, args...)})
 }
@@ -322,7 +299,7 @@ func identifierFilter(identifier string) (document.D, error) {
 // Hint names an index the planner must use (diagnostics; the result set
 // is identical either way).
 type queryRequest struct {
-	Criteria     requestDoc `json:"criteria"`
+	Criteria     document.D `json:"criteria"`
 	Properties   []string   `json:"properties"`
 	Limit        int        `json:"limit"`
 	Skip         int        `json:"skip"`
@@ -355,7 +332,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		opts.Projection = proj
 	}
 	if req.Explain {
-		plan, err := s.Engine.Explain(email, s.MaterialsCollection, document.D(req.Criteria), opts)
+		plan, err := s.Engine.Explain(email, s.MaterialsCollection, req.Criteria, opts)
 		if err != nil {
 			s.writeEngineErr(w, err)
 			return
@@ -363,7 +340,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, apiResponse{Valid: true, Response: []any{map[string]any(plan)}})
 		return
 	}
-	docs, err := s.Engine.Find(email, s.MaterialsCollection, document.D(req.Criteria), opts)
+	docs, err := s.Engine.Find(email, s.MaterialsCollection, req.Criteria, opts)
 	if err != nil {
 		s.writeEngineErr(w, err)
 		return
@@ -394,7 +371,7 @@ func stalenessOpts(r *http.Request) *datastore.FindOpts {
 // to the server's materials collection.
 type insertRequest struct {
 	Collection string     `json:"collection"`
-	Doc        requestDoc `json:"doc"`
+	Doc        document.D `json:"doc"`
 }
 
 // handleInsert writes one document through the engine (and so through
@@ -419,7 +396,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if collection == "" {
 		collection = s.MaterialsCollection
 	}
-	id, err := s.Engine.Insert(email, collection, document.D(req.Doc))
+	id, err := s.Engine.Insert(email, collection, req.Doc)
 	if err != nil {
 		s.writeEngineErr(w, err)
 		return
@@ -434,7 +411,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // which is the fast path for bulk ingest.
 type insertManyRequest struct {
 	Collection string       `json:"collection"`
-	Docs       []requestDoc `json:"docs"`
+	Docs       []document.D `json:"docs"`
 }
 
 // handleInsertMany writes a batch of documents atomically per shard.
@@ -457,11 +434,7 @@ func (s *Server) handleInsertMany(w http.ResponseWriter, r *http.Request) {
 	if collection == "" {
 		collection = s.MaterialsCollection
 	}
-	docs := make([]document.D, len(req.Docs))
-	for i, d := range req.Docs {
-		docs[i] = document.D(d)
-	}
-	ids, err := s.Engine.InsertMany(email, collection, docs)
+	ids, err := s.Engine.InsertMany(email, collection, req.Docs)
 	if err != nil {
 		s.writeEngineErr(w, err)
 		return
@@ -477,16 +450,8 @@ func (s *Server) handleInsertMany(w http.ResponseWriter, r *http.Request) {
 // of insert/updateOne/updateMany/delete operations applied
 // continue-on-error, with a per-op outcome row in the response.
 type bulkWriteRequest struct {
-	Collection string       `json:"collection"`
-	Ops        []bulkWireOp `json:"ops"`
-}
-
-// bulkWireOp is one operation in a bulkWrite request.
-type bulkWireOp struct {
-	Op     string     `json:"op"`
-	Doc    requestDoc `json:"doc,omitempty"`
-	Filter requestDoc `json:"filter,omitempty"`
-	Update requestDoc `json:"update,omitempty"`
+	Collection string             `json:"collection"`
+	Ops        []datastore.BulkOp `json:"ops"`
 }
 
 // handleBulkWrite applies a mixed write batch. Each response row mirrors
@@ -511,16 +476,7 @@ func (s *Server) handleBulkWrite(w http.ResponseWriter, r *http.Request) {
 	if collection == "" {
 		collection = s.MaterialsCollection
 	}
-	ops := make([]datastore.BulkOp, len(req.Ops))
-	for i, op := range req.Ops {
-		ops[i] = datastore.BulkOp{
-			Op:     op.Op,
-			Doc:    document.D(op.Doc),
-			Filter: document.D(op.Filter),
-			Update: document.D(op.Update),
-		}
-	}
-	res, err := s.Engine.BulkWrite(email, collection, ops)
+	res, err := s.Engine.BulkWrite(email, collection, req.Ops)
 	if err != nil {
 		s.writeEngineErr(w, err)
 		return
@@ -546,7 +502,7 @@ func (s *Server) handleBulkWrite(w http.ResponseWriter, r *http.Request) {
 
 // aggregateRequest is the POST /rest/v1/aggregate body.
 type aggregateRequest struct {
-	Pipeline []requestDoc `json:"pipeline"`
+	Pipeline []document.D `json:"pipeline"`
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
@@ -563,11 +519,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "pipeline required")
 		return
 	}
-	stages := make([]document.D, len(req.Pipeline))
-	for i, st := range req.Pipeline {
-		stages[i] = document.D(st)
-	}
-	docs, err := s.Engine.Aggregate(email, s.MaterialsCollection, stages)
+	docs, err := s.Engine.Aggregate(email, s.MaterialsCollection, req.Pipeline)
 	if err != nil {
 		s.writeEngineErr(w, err)
 		return

@@ -35,8 +35,8 @@ var Wall Clock = wall{}
 
 type wall struct{}
 
-func (wall) Now() time.Time          { return time.Now() }
-func (wall) Sleep(d time.Duration)   { time.Sleep(d) }
+func (wall) Now() time.Time        { return time.Now() }
+func (wall) Sleep(d time.Duration) { time.Sleep(d) }
 func (wall) NewTicker(d time.Duration) Ticker {
 	return wallTicker{t: time.NewTicker(d)}
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Repository gate: vet + mplint, build, the full test suite under the
+# Repository gate: vet + gofmt + mplint, build, the full test suite under the
 # race detector, a concurrency stress pass, and a short fuzz smoke over
 # each fuzz target (seed corpus plus a few seconds of mutation — enough
 # to catch regressions in the filter/update/path invariants without
@@ -14,6 +14,13 @@ cd "$(dirname "$0")/.."
 #       a //lint:ignore <analyzer> <reason> with a real justification)
 #   2 — load/type error; the tree does not even type-check
 go vet ./...
+# Formatting gate: gofmt must list no file.
+unformatted="$(gofmt -l internal cmd examples)"
+if [ -n "$unformatted" ]; then
+    echo "check.sh: gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 mplint_bin="${TMPDIR:-/tmp}/mplint.$$"
 go build -o "$mplint_bin" ./cmd/mplint
 trap 'rm -f "$mplint_bin"' EXIT
