@@ -34,6 +34,7 @@ fuzz:
 	go test ./internal/query/ -run '^$$' -fuzz '^FuzzUpdateApply$$' -fuzztime 60s
 	go test ./internal/document/ -run '^$$' -fuzz '^FuzzDocumentPath$$' -fuzztime 60s
 	go test ./internal/document/ -run '^$$' -fuzz '^FuzzParseAppendJSON$$' -fuzztime 60s
+	go test ./internal/document/ -run '^$$' -fuzz '^FuzzSplitDocs$$' -fuzztime 60s
 	go test ./internal/datastore/ -run '^$$' -fuzz '^FuzzKeyEncodingOrder$$' -fuzztime 60s
 	go test ./internal/datastore/ -run '^$$' -fuzz '^FuzzGroupPartialCombine$$' -fuzztime 60s
 	go test ./internal/cluster/wire/ -run '^$$' -fuzz '^FuzzDecodeJSONBytes$$' -fuzztime 60s

@@ -3,6 +3,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -16,11 +17,16 @@ import (
 	"matproj/internal/rcache"
 )
 
-// routedRangeReadAllocs is what one routed range read allocated, node
-// side included, when its bound was last set: the node encodes the
-// stored documents and the router parses the replies, and nothing on the
-// path copies a document.
-const routedRangeReadAllocs = 20416
+// routedRangeReadAllocs and routedRangeBytesAllocs are what one routed
+// range read allocated, node side included, when their bounds were last
+// set. Both read the nodes' documents as bytes and merge on their keys;
+// the tree read (FindAll) then parses the 100 documents it returns, and
+// the byte read (an engine's AppendFind, what the REST edge calls)
+// splices them without parsing any.
+const (
+	routedRangeReadAllocs  = 10703
+	routedRangeBytesAllocs = 1725
+)
 
 // benchShapedDocs returns n documents shaped like the bench corpus:
 // band_gap runs over [0, 5) with 120 documents per unit, and each
@@ -94,26 +100,53 @@ func loopbackRouter(t *testing.T, rc *rcache.Cache) *cluster.Router {
 
 // TestRoutedRangeReadAllocations counts the allocations of a routed
 // range read — 100 of 600 documents shaped like the bench corpus, sorted
-// by band_gap, over a 2-group loopback cluster with no result cache — and
-// asserts at most 110 % of routedRangeReadAllocs. Allocation counts
-// repeat run to run where wall time does not, so the read path's cost is
-// pinned here. It is not run under the race detector, which allocates on
-// its own.
+// by band_gap, over a 2-group loopback cluster with no result cache — as
+// documents (FindAll) and as bytes (an engine's AppendFind), and asserts
+// at most 110 % of each one's recorded count. Allocation counts repeat
+// run to run where wall time does not, so the read path's cost is pinned
+// here. The negative control: the tree read does not fit the byte read's
+// bound, so a byte path that parsed the documents it forwards would fail
+// it. It is not run under the race detector, which allocates on its own.
 func TestRoutedRangeReadAllocations(t *testing.T) {
-	c := loopbackRouter(t, nil).C("materials")
-	read := func() {
-		got, err := c.FindAll(rangeFilter, rangeOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkRangePage(t, got)
+	r := loopbackRouter(t, nil)
+	c := r.C("materials")
+	eng := queryengine.NewWithBackend(r)
+	var buf []byte
+	rows := []struct {
+		name     string
+		recorded int
+		read     func()
+	}{
+		{"tree", routedRangeReadAllocs, func() {
+			got, err := c.FindAll(rangeFilter, rangeOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRangePage(t, got)
+		}},
+		{"bytes", routedRangeBytesAllocs, func() {
+			b, n, err := eng.AppendFind(buf[:0], "u", "materials", rangeFilter, rangeOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 100 || !bytes.HasPrefix(b, []byte(`[{"_id":"mat-b000120",`)) {
+				t.Fatalf("byte read returned %d documents: %.40s", n, b)
+			}
+			buf = b
+		}},
 	}
-	read() // warm connections and the index's sorted key list
-	allocs := testing.AllocsPerRun(20, read)
-	bound := routedRangeReadAllocs * 11 / 10
-	t.Logf("routed range read: %.0f allocations (recorded %d, bound %d)", allocs, routedRangeReadAllocs, bound)
-	if allocs > float64(bound) {
-		t.Errorf("routed range read allocated %.0f times, want at most %d (110 %% of %d)", allocs, bound, routedRangeReadAllocs)
+	allocs := map[string]float64{}
+	for _, row := range rows {
+		row.read() // warm connections and the index's sorted key list
+		allocs[row.name] = testing.AllocsPerRun(20, row.read)
+		bound := row.recorded * 11 / 10
+		t.Logf("routed range read as %s: %.0f allocations (recorded %d, bound %d)", row.name, allocs[row.name], row.recorded, bound)
+		if allocs[row.name] > float64(bound) {
+			t.Errorf("routed range read as %s allocated %.0f times, want at most %d (110 %% of %d)", row.name, allocs[row.name], bound, row.recorded)
+		}
+	}
+	if bound := routedRangeBytesAllocs * 11 / 10; allocs["tree"] <= float64(bound) {
+		t.Errorf("the tree read's %.0f allocations fit the byte read's bound %d; the bound would not catch a parse", allocs["tree"], bound)
 	}
 }
 

@@ -191,7 +191,16 @@ func (n *Node) handleFind(w http.ResponseWriter, r *http.Request) error {
 	}
 	c, opts := n.store.C(req.Collection), req.Opts.ToFindOpts()
 	err := writeReply(w, func(dst []byte) ([]byte, error) {
-		return wire.AppendDocsReply(dst, func(dst []byte) ([]byte, error) { return c.AppendFind(dst, req.Filter, opts) })
+		return wire.AppendDocsReply(dst, func(dst []byte) ([]byte, []byte, error) {
+			if !req.Keys {
+				dst, _, err := c.AppendFind(dst, req.Filter, opts)
+				//lint:ignore wrapcheck the handler wraps it below, naming the operation and collection
+				return dst, nil, err
+			}
+			dst, keys, _, err := c.AppendFindKeys(dst, nil, req.Filter, opts)
+			//lint:ignore wrapcheck the handler wraps it below, naming the operation and collection
+			return dst, keys, err
+		})
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: find %s: %w", req.Collection, err)

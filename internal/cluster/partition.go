@@ -3,9 +3,11 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync/atomic"
 
+	"matproj/internal/cluster/wire"
 	"matproj/internal/datastore"
 	"matproj/internal/document"
 	"matproj/internal/query"
@@ -49,33 +51,44 @@ func splitFindOpts(opts *datastore.FindOpts) (perShard *datastore.FindOpts, sort
 	return &o, sortSpec, skip, limit
 }
 
-// mergeDocs applies the global half of a scatter-gathered read: sort the
-// concatenated per-shard results (by the requested sort, or by _id for a
-// deterministic cross-shard order), then skip/limit.
-func mergeDocs(docs []document.D, sortSpec []string, skip, limit int) ([]document.D, error) {
-	if len(sortSpec) > 0 {
-		keys, err := query.ParseSort(sortSpec)
-		if err != nil {
-			//lint:ignore wrapcheck a bad sort is the caller's error, relayed verbatim so a routed answer reads exactly like a standalone store's
-			return nil, err
-		}
-		query.SortDocs(docs, keys)
-	} else {
-		sort.Slice(docs, func(i, j int) bool {
-			a, _ := docs[i]["_id"].(string)
-			b, _ := docs[j]["_id"].(string)
-			return a < b
-		})
+// mergeSpans applies the global half of a scatter-gathered read to the
+// groups' replies: it orders every document by its merge key under
+// query.MergeKeys — the requested sort's directions, or _id without a
+// sort — stably, in group order, which is one store's stable sort of the concatenated
+// replies, then applies skip and limit. Only the keys are compared; the
+// documents stay bytes.
+func mergeSpans(replies []*wire.FindReply, sortSpec []string, skip, limit int) ([][]byte, error) {
+	keys, err := query.MergeKeys(sortSpec)
+	if err != nil {
+		//lint:ignore wrapcheck a bad sort is the caller's error, relayed verbatim so a routed answer reads exactly like a standalone store's
+		return nil, err
 	}
+	type row struct {
+		doc []byte
+		key []any
+	}
+	var rows []row
+	for _, rep := range replies {
+		if len(rep.Keys) != len(rep.Docs) {
+			return nil, fmt.Errorf("cluster: find reply carries %d merge keys for %d documents", len(rep.Keys), len(rep.Docs))
+		}
+		for i, d := range rep.Docs {
+			if len(rep.Keys[i]) != len(keys) {
+				return nil, fmt.Errorf("cluster: merge key %v does not match sort %v", rep.Keys[i], sortSpec)
+			}
+			rows = append(rows, row{d, rep.Keys[i]})
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b row) int { return query.CompareSortValues(a.key, b.key, keys) })
 	if skip > 0 {
-		if skip >= len(docs) {
-			docs = nil
-		} else {
-			docs = docs[skip:]
-		}
+		rows = rows[min(skip, len(rows)):]
 	}
-	if limit > 0 && limit < len(docs) {
-		docs = docs[:limit]
+	if limit > 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	docs := make([][]byte, len(rows))
+	for i, r := range rows {
+		docs[i] = r.doc
 	}
 	return docs, nil
 }

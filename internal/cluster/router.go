@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -869,15 +870,59 @@ func (r *Router) updateOne(collection string, filter, update document.D) (datast
 
 // ---- Read path ------------------------------------------------------
 
-// findAll scatter-gathers a filtered read and applies the global
-// merge-sort/skip/limit, so the result equals a standalone store's.
-// Per-group responses are served through the result cache; the
-// documents returned are the parsed or cached ones themselves.
+// findAll scatter-gathers a filtered read, so the result equals a
+// standalone store's. Per-group replies are served through the result
+// cache; the documents returned are parsed from the kept documents' bytes
+// alone.
 func (r *Router) findAll(collection string, filter document.D, opts *datastore.FindOpts) ([]document.D, error) {
 	return r.findAllCached(collection, filter, opts, true)
 }
 
+// findAllCached parses the array appendFind writes, so a read parses the
+// documents it returns and no others.
 func (r *Router) findAllCached(collection string, filter document.D, opts *datastore.FindOpts, cached bool) ([]document.D, error) {
+	b, n, err := r.appendFind(nil, collection, filter, opts, cached)
+	if err != nil {
+		return nil, err
+	}
+	v, err := document.ParseJSON(b)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: parse find result: %w", err)
+	}
+	docs := make([]document.D, n)
+	for i, d := range v.([]any) {
+		docs[i] = d.(map[string]any) // the reply split checked every document is an object
+	}
+	return docs, nil
+}
+
+// appendFind appends the JSON array of a routed read's documents to dst
+// and reports how many there are: the bytes the nodes sent for the kept
+// documents, spliced without parsing them.
+func (r *Router) appendFind(dst []byte, collection string, filter document.D, opts *datastore.FindOpts, cached bool) ([]byte, int, error) {
+	docs, err := r.findSpans(collection, filter, opts, cached)
+	if err != nil {
+		return dst, 0, err
+	}
+	size := len(docs) + 1
+	for _, d := range docs {
+		size += len(d)
+	}
+	dst = append(slices.Grow(dst, size), '[')
+	for i, d := range docs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, d...)
+	}
+	return append(dst, ']'), len(docs), nil
+}
+
+// findSpans scatter-gathers a filtered read and returns the bytes of each
+// document it keeps, in result order. A read one group can answer whole
+// takes that group's documents as they are; a scatter asks every group
+// for merge keys and merges on them (mergeSpans).
+func (r *Router) findSpans(collection string, filter document.D, opts *datastore.FindOpts, cached bool) ([][]byte, error) {
 	targets, err := r.targets(filter)
 	if err != nil {
 		return nil, err
@@ -886,7 +931,8 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 	// Single-target pass-through: one shard holds every possible match,
 	// so it can apply sort/skip/limit itself and the router returns its
 	// answer verbatim — no re-merge, no over-fetch.
-	if len(targets) == 1 {
+	scatter := len(targets) > 1
+	if !scatter {
 		perShard = opts
 	}
 	// The staleness budget rides FindOpts (and therefore the wire form,
@@ -896,23 +942,22 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 	if opts != nil {
 		maxStale = opts.MaxStaleness
 	}
-	results := make([][]document.D, len(targets))
+	replies := make([]*wire.FindReply, len(targets))
 	err = r.scatter(targets, func(gi int) error {
-		req := wire.FindRequest{Collection: collection, Filter: filter, Opts: wire.FromFindOpts(perShard)}
+		req := wire.FindRequest{Collection: collection, Filter: filter, Opts: wire.FromFindOpts(perShard), Keys: scatter}
 		v, err := r.groupRead(cached, collection, gi, "find", req, func() (any, error) {
-			var resp wire.DocsResponse
+			var resp wire.FindReply
 			if err := r.readOnGroupStale(gi, wire.PathFind, req, &resp, maxStale); err != nil {
 				return nil, err
 			}
-			return resp.Docs, nil
+			return &resp, nil
 		})
 		if err != nil {
 			return err
 		}
-		docs := v.([]document.D)
 		for slot, t := range targets {
 			if t == gi {
-				results[slot] = docs
+				replies[slot] = v.(*wire.FindReply)
 			}
 		}
 		return nil
@@ -920,14 +965,10 @@ func (r *Router) findAllCached(collection string, filter document.D, opts *datas
 	if err != nil {
 		return nil, err
 	}
-	if len(targets) == 1 {
-		return results[0], nil
+	if !scatter {
+		return replies[0].Docs, nil
 	}
-	var all []document.D
-	for _, docs := range results {
-		all = append(all, docs...)
-	}
-	return mergeDocs(all, sortSpec, skip, limit)
+	return mergeSpans(replies, sortSpec, skip, limit)
 }
 
 // Get fetches one document by id from the group its _id hashes to.
@@ -1189,6 +1230,10 @@ type routedCollection struct {
 
 func (c routedCollection) FindAll(filter document.D, opts *datastore.FindOpts) ([]document.D, error) {
 	return c.r.findAll(c.name, filter, opts)
+}
+
+func (c routedCollection) AppendFind(dst []byte, filter document.D, opts *datastore.FindOpts) ([]byte, int, error) {
+	return c.r.appendFind(dst, c.name, filter, opts, true)
 }
 
 func (c routedCollection) Count(filter document.D) (int, error) {

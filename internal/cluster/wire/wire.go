@@ -182,6 +182,47 @@ type FindRequest struct {
 	Collection string     `json:"collection"`
 	Filter     document.D `json:"filter,omitempty"`
 	Opts       *FindOpts  `json:"opts,omitempty"`
+	// Keys asks for each document's merge key beside it (a router asks on
+	// a scatter read; see FindReply).
+	Keys bool `json:"keys,omitempty"`
+}
+
+// FindReply is a find reply kept as the bytes the node sent, for a router
+// that forwards documents without parsing them: Docs holds each
+// document's span of the body, and Keys each one's merge key
+// (datastore.Collection.AppendFindKeys), parsed, when the request asked
+// for keys. The body is validated whole (document.SplitDocs); only the
+// keys are parsed.
+type FindReply struct {
+	Docs [][]byte
+	Keys [][]any
+}
+
+func (r *FindReply) parseJSON(b []byte) error {
+	docs, fields, err := document.SplitDocs(b, "docs")
+	if err != nil {
+		return fmt.Errorf("reply: %w", err)
+	}
+	r.Docs, r.Keys = docs, nil
+	raw, ok := fields["keys"]
+	if !ok {
+		return nil
+	}
+	v, err := document.ParseJSON(raw)
+	if err != nil {
+		return fmt.Errorf("reply keys: %w", err)
+	}
+	keys, ok := v.([]any)
+	if !ok || len(keys) != len(docs) {
+		return fmt.Errorf("reply carries %T keys for %d documents", v, len(docs))
+	}
+	r.Keys = make([][]any, len(keys))
+	for i, k := range keys {
+		if r.Keys[i], ok = k.([]any); !ok {
+			return fmt.Errorf("merge key %d is %T, not an array", i, k)
+		}
+	}
+	return nil
 }
 
 // DocsResponse carries a result set as canonical documents.
@@ -196,11 +237,16 @@ func (r *DocsResponse) NormalizedDocs() []document.D { return r.Docs }
 
 // AppendDocsReply appends a DocsResponse body — with the newline
 // json.Encoder ends it with — whose JSON array of documents appendDocs
-// writes (datastore.Collection.AppendFind, or document.AppendJSON).
-func AppendDocsReply(dst []byte, appendDocs func([]byte) ([]byte, error)) ([]byte, error) {
-	dst, err := appendDocs(append(dst, `{"docs":`...))
+// writes (datastore.Collection.AppendFind, or document.AppendJSON). When
+// appendDocs also returns a JSON array of merge keys, the body carries it
+// as the member FindReply reads: {"docs":[…],"keys":[…]}.
+func AppendDocsReply(dst []byte, appendDocs func([]byte) (docs, keys []byte, err error)) ([]byte, error) {
+	dst, keys, err := appendDocs(append(dst, `{"docs":`...))
 	if err != nil {
 		return dst, err
+	}
+	if keys != nil {
+		dst = append(append(dst, `,"keys":`...), keys...)
 	}
 	return append(dst, "}\n"...), nil
 }
@@ -210,7 +256,11 @@ func (r DocsResponse) appendJSON(dst []byte) ([]byte, error) {
 	if docs == nil {
 		docs = []document.D{}
 	}
-	return AppendDocsReply(dst, func(dst []byte) ([]byte, error) { return document.AppendJSON(dst, docs) })
+	return AppendDocsReply(dst, func(dst []byte) ([]byte, []byte, error) {
+		dst, err := document.AppendJSON(dst, docs)
+		//lint:ignore wrapcheck AppendReply's caller wraps it, naming the reply it was encoding
+		return dst, nil, err
+	})
 }
 
 func (r *DocsResponse) parseJSON(b []byte) error {
@@ -446,7 +496,8 @@ func DecodeJSON(r io.Reader, v any) error {
 
 // DecodeJSONBytes is DecodeJSON over a byte slice. A *DocsResponse,
 // *DocResponse or *DistinctResponse is parsed in one pass with
-// document.ParseJSON instead.
+// document.ParseJSON instead, and a *FindReply is split into document
+// spans (it keeps b).
 func DecodeJSONBytes(b []byte, v any) error {
 	if r, ok := v.(interface{ parseJSON([]byte) error }); ok {
 		if err := r.parseJSON(b); err != nil {

@@ -186,3 +186,48 @@ func TestDeepReplyIsAnError(t *testing.T) {
 		t.Fatal("a 20,000-deep reply decoded without error")
 	}
 }
+
+// TestFindReplyWithKeys builds a keyed find reply the way a node does
+// and decodes it both ways: DocsResponse (what DecodeJSONBytes and
+// NormalizedDocs give any other reader) ignores the keys, and FindReply
+// keeps each document's bytes and parses only the keys. A reply whose
+// keys do not pair one-to-one with its documents is an error.
+func TestFindReplyWithKeys(t *testing.T) {
+	docs := []document.D{
+		{"_id": "mat-1", "band_gap": 1.25, "s": map[string]any{"html": "<&>"}},
+		{"_id": "mat-2", "band_gap": nil, "n": int64(9007199254740993)},
+	}
+	body, err := AppendDocsReply(nil, func(dst []byte) ([]byte, []byte, error) {
+		dst, err := document.AppendJSON(dst, docs)
+		return dst, []byte(`[[1.25,"mat-1"],[null,"mat-2"]]`), err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain DocsResponse
+	if err := DecodeJSONBytes(body, &plain); err != nil || !reflect.DeepEqual(plain.NormalizedDocs(), docs) {
+		t.Errorf("DocsResponse of a keyed reply: %v, %v", plain.Docs, err)
+	}
+	var raw FindReply
+	if err := DecodeJSONBytes(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range docs {
+		if want, _ := document.AppendJSON(nil, d); !bytes.Equal(raw.Docs[i], want) {
+			t.Errorf("document %d: span %s, want %s", i, raw.Docs[i], want)
+		}
+	}
+	if want := [][]any{{1.25, "mat-1"}, {nil, "mat-2"}}; !reflect.DeepEqual(raw.Keys, want) {
+		t.Errorf("keys = %#v, want %#v", raw.Keys, want)
+	}
+	for _, bad := range []string{
+		`{"docs":[{"_id":"a"}],"keys":[]}`,
+		`{"docs":[{"_id":"a"}],"keys":["a"]}`,
+		`{"docs":[{"_id":"a"}],"keys":{}}`,
+		`{"docs":[1],"keys":[[1]]}`,
+	} {
+		if err := DecodeJSONBytes([]byte(bad), &FindReply{}); err == nil {
+			t.Errorf("FindReply accepted %s", bad)
+		}
+	}
+}

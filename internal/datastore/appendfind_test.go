@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"matproj/internal/document"
+	"matproj/internal/query"
 )
 
 // storedRef returns the stored document itself — what AppendFind encodes
@@ -106,9 +107,11 @@ func TestStoredDocumentsAreNeverMutated(t *testing.T) {
 
 // TestAppendFindMatchesFind checks the two outputs of the one query walk
 // against each other: AppendFind's bytes are json.Marshal of what Find
-// returns, over id lookups, scans, index walks, projections, sorts, skips
-// and limits, and an empty result is [] rather than null. AppendID
-// encodes what FindID returns.
+// returns and its count is Find's, over id lookups, scans, index walks,
+// projections, sorts, skips and limits, and an empty result is [] rather
+// than null. AppendFindKeys writes the same bytes and each row's merge
+// key, read from the stored document. AppendID encodes what FindID
+// returns.
 func TestAppendFindMatchesFind(t *testing.T) {
 	c := MustOpenMemory().C("m")
 	for i := 0; i < 60; i++ {
@@ -142,12 +145,35 @@ func TestAppendFindMatchesFind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.AppendFind([]byte("x"), tc.filter, tc.opts)
+		got, n, err := c.AppendFind([]byte("x"), tc.filter, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != "x"+string(want) {
-			t.Errorf("filter %v opts %+v:\n AppendFind %s\n Find       %s", tc.filter, tc.opts, got[1:], want)
+		if string(got) != "x"+string(want) || n != len(docs) {
+			t.Errorf("filter %v opts %+v:\n AppendFind %s (%d rows)\n Find       %s (%d rows)", tc.filter, tc.opts, got[1:], n, want, len(docs))
+		}
+		// The merge keys are read from the stored documents, before the
+		// projection.
+		var sortSpec []string
+		if tc.opts != nil {
+			sortSpec = tc.opts.Sort
+		}
+		if len(sortSpec) == 0 {
+			sortSpec = []string{"_id"}
+		}
+		sortKeys, _ := query.ParseSort(sortSpec)
+		wantKeys := []any{}
+		for _, d := range docs {
+			stored, err := c.FindID(d["_id"].(string))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantKeys = append(wantKeys, query.SortValues(nil, stored, sortKeys))
+		}
+		wantKeysJSON, _ := json.Marshal(wantKeys)
+		gotDocs, gotKeys, n, err := c.AppendFindKeys(nil, []byte("y"), tc.filter, tc.opts)
+		if err != nil || string(gotDocs) != string(want) || string(gotKeys) != "y"+string(wantKeysJSON) || n != len(docs) {
+			t.Errorf("filter %v opts %+v: AppendFindKeys %s, keys %s, %d rows, %v; want keys y%s", tc.filter, tc.opts, gotDocs, gotKeys, n, err, wantKeysJSON)
 		}
 	}
 	d, err := c.FindID("d11")

@@ -276,25 +276,72 @@ type FindOpts struct {
 // read-only (see find); iterating never observes later writes, because a
 // write replaces a stored document instead of changing it.
 func (c *Collection) Find(filter document.D, opts *FindOpts) (*Cursor, error) {
-	rows, err := c.find(filter, opts)
+	rows, proj, err := c.find(filter, opts)
 	if err != nil {
 		return nil, err
+	}
+	if proj != nil {
+		for i, d := range rows {
+			rows[i] = proj.Apply(d)
+		}
 	}
 	return &Cursor{docs: rows}, nil
 }
 
 // AppendFind appends to dst the JSON array (document.AppendJSON) of the
 // documents Find would return, encoded straight from the stored
-// documents: a node that only serializes a result never copies it.
-func (c *Collection) AppendFind(dst []byte, filter document.D, opts *FindOpts) ([]byte, error) {
-	rows, err := c.find(filter, opts)
+// documents, and reports how many there are: a node that only serializes
+// a result never copies it.
+func (c *Collection) AppendFind(dst []byte, filter document.D, opts *FindOpts) ([]byte, int, error) {
+	dst, _, n, err := c.appendFind(dst, nil, filter, opts)
+	return dst, n, err
+}
+
+// AppendFindKeys is AppendFind that also appends to keys the JSON array
+// of each returned document's merge key: its query.SortValues under
+// query.MergeKeys — the values a sorted read compares, in sort-spec
+// order with null for a missing field, or [_id] without a sort — read
+// from the stored document before any projection. A router merges shard replies on these keys, so a
+// projection that drops a sort field leaves the merge order intact.
+func (c *Collection) AppendFindKeys(dst, keys []byte, filter document.D, opts *FindOpts) ([]byte, []byte, int, error) {
+	return c.appendFind(dst, append(keys, '['), filter, opts)
+}
+
+// appendFind is AppendFind, and AppendFindKeys when keys is non-nil (it
+// then holds the keys array's opening bracket).
+func (c *Collection) appendFind(dst, keys []byte, filter document.D, opts *FindOpts) ([]byte, []byte, int, error) {
+	rows, proj, err := c.find(filter, opts)
 	if err != nil {
-		return dst, err
+		return dst, keys, 0, err
+	}
+	if keys != nil {
+		var sortSpec []string
+		if opts != nil {
+			sortSpec = opts.Sort
+		}
+		sortKeys, _ := query.MergeKeys(sortSpec) // find parsed the spec already
+		var vals []any
+		for i, d := range rows {
+			if i > 0 {
+				keys = append(keys, ',')
+			}
+			vals = query.SortValues(vals[:0], d, sortKeys)
+			if keys, err = document.AppendJSON(keys, vals); err != nil {
+				return dst, keys, 0, err
+			}
+		}
+		keys = append(keys, ']')
+	}
+	if proj != nil {
+		for i, d := range rows {
+			rows[i] = proj.Apply(d)
+		}
 	}
 	if rows == nil {
 		rows = []document.D{}
 	}
-	return document.AppendJSON(dst, rows)
+	dst, err = document.AppendJSON(dst, rows)
+	return dst, keys, len(rows), err
 }
 
 // AppendID appends the JSON encoding of the document with the given _id,
@@ -310,37 +357,32 @@ func (c *Collection) AppendID(dst []byte, id string) ([]byte, error) {
 }
 
 // find is the one query walk behind Find and AppendFind: it returns the
-// page in order, after sort, skip and limit. Without a projection the
-// rows are the stored documents themselves. They stay valid after the
-// lock is released, because a stored document is never mutated — every
-// write replaces it (replaceLocked) with a new one built from a copy —
-// and they are read-only for every caller, inside the package or not.
-// With a projection the rows are fresh projected copies.
-func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D, err error) {
+// page in order, after sort, skip and limit, as the stored documents
+// themselves, and the projection the caller applies to each of them.
+// Sorting, skipping and limiting the stored documents before projecting
+// keeps a projection that drops a sort field from changing the order,
+// and projects only the page. The rows stay valid after the lock is
+// released, because a stored document is never mutated — every write
+// replaces it (replaceLocked) with a new one built from a copy — and
+// they are read-only for every caller, inside the package or not.
+func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D, proj *query.Projection, err error) {
 	start := time.Now()
 	flt, err := query.Compile(filter)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var proj *query.Projection
 	var sortKeys []query.SortKey
 	skip, limit := 0, 0
 	if opts != nil {
 		proj, err = query.CompileProjection(opts.Projection)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sortKeys, err = query.ParseSort(opts.Sort)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		skip, limit = opts.Skip, opts.Limit
-	}
-	row := func(d document.D) document.D {
-		if proj == nil {
-			return d
-		}
-		return proj.Apply(d)
 	}
 
 	c.mu.RLock()
@@ -350,7 +392,7 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 		c.notePlan(plan)
 		rows = make([]document.D, 0, len(ids))
 		for _, id := range ids {
-			rows = append(rows, row(c.docs[id]))
+			rows = append(rows, c.docs[id])
 		}
 		c.mu.RUnlock()
 	} else {
@@ -374,12 +416,12 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 				if matched <= skip {
 					return true
 				}
-				rows = append(rows, row(c.docs[id]))
+				rows = append(rows, c.docs[id])
 				return want < 0 || matched < want
 			})
 			c.mu.RUnlock()
 			c.profilePlan("find", start, len(rows), plan)
-			return rows, nil
+			return rows, proj, nil
 		}
 		// Limit pushdown without a sort: matches come back in insertion
 		// order, so the first skip+limit of them are the page.
@@ -390,7 +432,7 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 		matched := c.execPlanLocked(flt, plan, maxMatches)
 		rows = make([]document.D, 0, len(matched))
 		for _, id := range matched {
-			rows = append(rows, row(c.docs[id]))
+			rows = append(rows, c.docs[id])
 		}
 		c.mu.RUnlock()
 	}
@@ -407,7 +449,7 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 		rows = rows[:limit]
 	}
 	c.profilePlan("find", start, len(rows), plan)
-	return rows, nil
+	return rows, proj, nil
 }
 
 // FindAll is Find followed by draining the cursor.

@@ -130,6 +130,37 @@ func TestFindSortSkipLimitProjection(t *testing.T) {
 	}
 }
 
+// TestSortedFindProjectionDropsSortField sorts on a field the
+// projection leaves out, with and without an index on it: the order is
+// the sort field's, not the stored order.
+func TestSortedFindProjectionDropsSortField(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		c := MustOpenMemory().C("m")
+		for _, d := range []string{`{"_id":"a","x":2,"y":1}`, `{"_id":"b","x":1,"y":2}`, `{"_id":"c","x":3,"y":0}`} {
+			if _, err := c.Insert(doc(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if indexed {
+			c.EnsureOrderedIndex("x")
+		}
+		got, err := c.FindAll(nil, &FindOpts{Sort: []string{"x"}, Projection: doc(`{"y": 1}`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []any
+		for _, d := range got {
+			ids = append(ids, d["_id"])
+			if d.Has("x") {
+				t.Errorf("indexed=%v: projection kept x in %v", indexed, d)
+			}
+		}
+		if fmt.Sprint(ids) != "[b a c]" {
+			t.Errorf("indexed=%v: sorted on x with x projected away, got %v, want [b a c]", indexed, ids)
+		}
+	}
+}
+
 func TestFindErrorsPropagate(t *testing.T) {
 	c := seedTasks(t)
 	if _, err := c.Find(doc(`{"a": {"$bogus": 1}}`), nil); err == nil {

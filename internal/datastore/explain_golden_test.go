@@ -125,6 +125,14 @@ func TestExplainGolden(t *testing.T) {
 			opts:   &FindOpts{Sort: []string{"nelectrons"}},
 			want:   `{"bounds":"full index scan","collection":"materials","considered":[{"estimate":10,"index":"nelectrons","kind":"ordered"}],"estimated_candidates":10,"hinted":false,"index":"nelectrons","index_kind":"ordered","mode":"index","ndocs":10,"residual_paths":["band_gap"],"reverse":false,"sort_satisfied":true}`,
 		},
+		{
+			// A projection, even one that drops the sort field, does not
+			// stop the walk: find projects only the page it sorted.
+			name:   "sort-projected-full-index-walk",
+			filter: document.D{"band_gap": document.D{"$gte": 0.0}},
+			opts:   &FindOpts{Sort: []string{"nelectrons"}, Projection: document.D{"task_id": int64(1)}},
+			want:   `{"bounds":"full index scan","collection":"materials","considered":[{"estimate":10,"index":"nelectrons","kind":"ordered"}],"estimated_candidates":10,"hinted":false,"index":"nelectrons","index_kind":"ordered","mode":"index","ndocs":10,"residual_paths":["band_gap"],"reverse":false,"sort_satisfied":true}`,
+		},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {

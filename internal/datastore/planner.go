@@ -118,9 +118,9 @@ func (c *Collection) planQueryLocked(flt *query.Filter, sortKeys []query.SortKey
 	sort.Strings(plan.constraintPaths)
 
 	// Sort satisfaction precondition that is independent of the index:
-	// Find applies the projection before sorting, so index-order
-	// emission is only equivalent when there is nothing to project.
-	sortEligible := len(sortKeys) > 0 && (opts == nil || opts.Projection == nil)
+	// find sorts the stored documents and projects only the page, so a
+	// projection never stops an index walk from satisfying the sort.
+	sortEligible := len(sortKeys) > 0
 	uniformAsc, uniformDesc := true, true
 	sortPaths := make([]string, len(sortKeys))
 	for i, k := range sortKeys {

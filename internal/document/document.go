@@ -233,38 +233,40 @@ func splitPath(path string) []string {
 
 // Get retrieves the value at a dotted path. Array elements are addressed
 // by numeric segments ("sites.0.species"). The second result reports
-// whether the full path resolved.
+// whether the full path resolved. The walk cuts one segment at a time,
+// so a lookup allocates nothing.
 func (d D) Get(path string) (any, bool) {
-	return getPath(map[string]any(d), splitPath(path))
-}
-
-func getPath(v any, segs []string) (any, bool) {
-	if len(segs) == 0 {
+	var v any = map[string]any(d)
+	if path == "" {
 		return v, true
 	}
-	seg, rest := segs[0], segs[1:]
+	for {
+		seg, rest, more := strings.Cut(path, ".")
+		child, ok := getSegment(v, seg)
+		if !ok || !more {
+			return child, ok
+		}
+		v, path = child, rest
+	}
+}
+
+// getSegment steps from v into its field or array element seg.
+func getSegment(v any, seg string) (any, bool) {
 	switch x := v.(type) {
 	case map[string]any:
 		child, ok := x[seg]
-		if !ok {
-			return nil, false
-		}
-		return getPath(child, rest)
+		return child, ok
 	case D:
 		child, ok := x[seg]
-		if !ok {
-			return nil, false
-		}
-		return getPath(child, rest)
+		return child, ok
 	case []any:
 		idx, err := strconv.Atoi(seg)
 		if err != nil || idx < 0 || idx >= len(x) {
 			return nil, false
 		}
-		return getPath(x[idx], rest)
-	default:
-		return nil, false
+		return x[idx], true
 	}
+	return nil, false
 }
 
 // GetString returns the string at path, or "" if absent or not a string.

@@ -56,6 +56,246 @@ func ParseJSON(b []byte) (any, error) {
 	return v, nil
 }
 
+// SplitDocs validates b, a JSON object, without building any value, and
+// splits its member named field — an array of documents — into the
+// bytes of each document: docs[i] parses to the same document as element
+// i of the array. fields holds the bytes of every member's value (the
+// last of duplicate keys, which is the one ParseJSON keeps). It rejects
+// exactly what ParseJSON rejects, and also a b that is not an object and
+// a field member that is neither null nor an array of objects. Every
+// slice returned shares b's backing.
+func SplitDocs(b []byte, field string) (docs [][]byte, fields map[string][]byte, err error) {
+	p := parser{buf: b}
+	p.skipSpace()
+	if p.pos >= len(p.buf) {
+		return nil, nil, p.eof()
+	}
+	if p.buf[p.pos] != '{' {
+		return nil, nil, p.errorf("splitting %q: the value is not an object", field)
+	}
+	p.pos++
+	fields = make(map[string][]byte)
+	p.skipSpace()
+	more := p.pos >= len(p.buf) || p.buf[p.pos] != '}'
+	if !more {
+		p.pos++
+	}
+	for more {
+		if p.pos >= len(p.buf) {
+			return nil, nil, p.eof()
+		}
+		if p.buf[p.pos] != '"' {
+			return nil, nil, p.unexpected("looking for beginning of object key string")
+		}
+		raw, err := p.str()
+		if err != nil {
+			return nil, nil, err
+		}
+		key := string(raw)
+		if err := p.colon(); err != nil {
+			return nil, nil, err
+		}
+		start := p.pos
+		if key == field {
+			docs, err = p.splitArray()
+		} else {
+			err = p.skip(1)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		fields[key] = b[start:p.pos]
+		if more, err = p.next('}', "after object key:value pair"); err != nil {
+			return nil, nil, err
+		}
+	}
+	p.skipSpace()
+	if p.pos < len(p.buf) {
+		return nil, nil, p.unexpected("after top-level value")
+	}
+	return docs, fields, nil
+}
+
+// splitArray validates the value at p.pos, at nesting depth 1, which must
+// be null or an array of objects, and returns the bytes of each object.
+func (p *parser) splitArray() ([][]byte, error) {
+	if p.pos < len(p.buf) && p.buf[p.pos] == 'n' {
+		return nil, p.skip(1)
+	}
+	if p.pos >= len(p.buf) || p.buf[p.pos] != '[' {
+		if err := p.skip(1); err != nil {
+			return nil, err
+		}
+		return nil, p.errorf("the documents are not an array")
+	}
+	p.pos++ // '['
+	docs := [][]byte{}
+	p.skipSpace()
+	if p.pos < len(p.buf) && p.buf[p.pos] == ']' {
+		p.pos++
+		return docs, nil
+	}
+	for {
+		start := p.pos
+		if err := p.skip(2); err != nil {
+			return nil, err
+		}
+		if p.buf[start] != '{' {
+			return nil, p.errorf("document %d is not an object", len(docs))
+		}
+		docs = append(docs, p.buf[start:p.pos])
+		more, err := p.next(']', "after array element")
+		if err != nil || !more {
+			return docs, err
+		}
+	}
+}
+
+// skip validates the JSON value at p.pos exactly as value does, and moves
+// past it without building anything. depth counts the containers
+// enclosing the value.
+func (p *parser) skip(depth int) error {
+	if p.pos >= len(p.buf) {
+		return p.eof()
+	}
+	switch c := p.buf[p.pos]; {
+	case c == '{' || c == '[':
+		if depth+1 > maxParseDepth {
+			return p.errorf("exceeded max depth of %d", maxParseDepth)
+		}
+		p.pos++
+		closer := byte(']')
+		context := "after array element"
+		if c == '{' {
+			closer, context = '}', "after object key:value pair"
+		}
+		p.skipSpace()
+		if p.pos < len(p.buf) && p.buf[p.pos] == closer {
+			p.pos++
+			return nil
+		}
+		for {
+			if c == '{' {
+				if p.pos >= len(p.buf) {
+					return p.eof()
+				}
+				if p.buf[p.pos] != '"' {
+					return p.unexpected("looking for beginning of object key string")
+				}
+				if err := p.skipString(); err != nil {
+					return err
+				}
+				if err := p.colon(); err != nil {
+					return err
+				}
+			}
+			if err := p.skip(depth + 1); err != nil {
+				return err
+			}
+			more, err := p.next(closer, context)
+			if err != nil || !more {
+				return err
+			}
+		}
+	case c == '"':
+		return p.skipString()
+	case c == '-' || '0' <= c && c <= '9':
+		return p.skipNumber()
+	case c == 't':
+		_, err := p.word("true", nil)
+		return err
+	case c == 'f':
+		_, err := p.word("false", nil)
+		return err
+	case c == 'n':
+		_, err := p.word("null", nil)
+		return err
+	}
+	return p.unexpected("looking for beginning of value")
+}
+
+// colon reads the ':' after an object key and the space around it.
+func (p *parser) colon() error {
+	p.skipSpace()
+	if p.pos >= len(p.buf) {
+		return p.eof()
+	}
+	if p.buf[p.pos] != ':' {
+		return p.unexpected("after object key")
+	}
+	p.pos++
+	p.skipSpace()
+	return nil
+}
+
+// next reads what follows a container member: a ',' (more is true) or
+// the closer (more is false), with the space around it.
+func (p *parser) next(closer byte, context string) (more bool, err error) {
+	p.skipSpace()
+	if p.pos >= len(p.buf) {
+		return false, p.eof()
+	}
+	switch p.buf[p.pos] {
+	case ',':
+		p.pos++
+		p.skipSpace()
+		return true, nil
+	case closer:
+		p.pos++
+		return false, nil
+	}
+	return false, p.unexpected(context)
+}
+
+// skipString validates the string literal at p.pos as str does, without
+// decoding it: invalid UTF-8 is accepted there too.
+func (p *parser) skipString() error {
+	for i := p.pos + 1; i < len(p.buf); i++ {
+		switch c := p.buf[i]; {
+		case c == '"':
+			p.pos = i + 1
+			return nil
+		case c == '\\':
+			if i+1 >= len(p.buf) {
+				return p.eof()
+			}
+			switch p.buf[i+1] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i++
+			case 'u':
+				if _, err := p.hex4(i + 2); err != nil {
+					return err
+				}
+				i += 5
+			default:
+				p.pos = i + 1
+				return p.unexpected("in string escape code")
+			}
+		case c < 0x20:
+			p.pos = i
+			return p.unexpected("in string literal")
+		}
+	}
+	return p.eof()
+}
+
+// skipNumber validates the number literal at p.pos as number does. Only
+// a literal with an exponent, or longer than 308 characters, can lie
+// beyond float64's range, so only those are converted.
+func (p *parser) skipNumber() error {
+	start := p.pos
+	if err := p.numberEnd(); err != nil {
+		return err
+	}
+	lit := p.buf[start:p.pos]
+	if len(lit) > 308 || slices.ContainsFunc(lit, func(c byte) bool { return c == 'e' || c == 'E' }) {
+		if _, ok := numberValue(string(lit)); !ok {
+			return fmt.Errorf("document: parse JSON: number %s at offset %d is out of float64 range", lit, start)
+		}
+	}
+	return nil
+}
+
 // parser is one ParseJSON call's state. kvs and vals are stacks shared by
 // every nesting level: a container collects its members on top, then
 // copies them into an exactly sized map or slice and pops them.
@@ -345,7 +585,20 @@ func (p *parser) intern(raw []byte) string {
 // number reads a JSON number literal and classifies it with numberValue.
 func (p *parser) number() (any, error) {
 	start := p.pos
-	i := start
+	if err := p.numberEnd(); err != nil {
+		return nil, err
+	}
+	v, ok := numberValue(string(p.buf[start:p.pos]))
+	if !ok {
+		return nil, fmt.Errorf("document: parse JSON: number %s at offset %d is out of float64 range", p.buf[start:p.pos], start)
+	}
+	return v, nil
+}
+
+// numberEnd checks the syntax of the number literal at p.pos and moves
+// past it.
+func (p *parser) numberEnd() error {
+	i := p.pos
 	if p.buf[i] == '-' {
 		i++
 	}
@@ -355,13 +608,13 @@ func (p *parser) number() (any, error) {
 		i = j
 	} else {
 		p.pos = i
-		return nil, p.inNumber()
+		return p.inNumber()
 	}
 	if i < len(p.buf) && p.buf[i] == '.' {
 		j := skipDigits(p.buf, i+1)
 		if j == i+1 {
 			p.pos = j
-			return nil, p.inNumber()
+			return p.inNumber()
 		}
 		i = j
 	}
@@ -373,16 +626,12 @@ func (p *parser) number() (any, error) {
 		j := skipDigits(p.buf, i)
 		if j == i {
 			p.pos = j
-			return nil, p.inNumber()
+			return p.inNumber()
 		}
 		i = j
 	}
 	p.pos = i
-	v, ok := numberValue(string(p.buf[start:i]))
-	if !ok {
-		return nil, fmt.Errorf("document: parse JSON: number %s at offset %d is out of float64 range", p.buf[start:i], start)
-	}
-	return v, nil
+	return nil
 }
 
 func skipDigits(b []byte, i int) int {

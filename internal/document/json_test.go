@@ -133,6 +133,106 @@ func FuzzParseAppendJSON(f *testing.F) {
 	})
 }
 
+// FuzzSplitDocs checks the validating splitter against ParseJSON, on the
+// fuzzed bytes as a whole reply and wrapped as a reply's docs array:
+// SplitDocs accepts exactly the replies ParseJSON accepts whose docs
+// member is absent, null or an array of objects; each document's span
+// and each member's bytes parse to what ParseJSON gives for them; and on
+// AppendJSON's output of a parsed value, each span re-encodes to itself,
+// so a router that splices the spans a node wrote sends the bytes it
+// would have written from the parsed documents.
+func FuzzSplitDocs(f *testing.F) {
+	for _, seed := range []string{
+		`{"docs":[{"_id":"mp-1","band_gap":3.7,"elements":["Fe","Li"]},{"_id":"mp-2","s":{"a":[1,null]}}],"keys":[[3.7],[null]]}`,
+		`[{"_id":"a"},{"x":-0.0,"y":1e-7,"z":12345678901234567890}]`,
+		` { "docs" : [ { } , {"a" : 1} ] , "n" : 2 } `,
+		`{"docs":null}`,
+		`{"keys":[]}`,
+		`{"docs":[{"a":1}],"docs":[{"b":2},{"c":3}]}`,
+		`{"docs":[1]}`,
+		`{"docs":[null]}`,
+		`{"docs":"x"}`,
+		`{"docs":[{"a":1},]}`,
+		`{"docs":[{"a":1e400}]}`,
+		`{"docs":[{"s":"\ud800\u2028<&>"}]}`,
+		"{\"docs\":[{\"s\":\"\xff\xfe\"}]}",
+		"{\"docs\":[{\"s\":\"\x01\"}]}",
+		`{"docs":[{"s":"\u12G4"}]}`,
+		`{"docs":[]} x`,
+		`[]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkSplit(t, b)
+		checkSplit(t, append(append([]byte(`{"docs":`), b...), '}'))
+	})
+}
+
+// checkSplit compares SplitDocs(reply, "docs") with ParseJSON(reply).
+func checkSplit(t *testing.T, reply []byte) {
+	t.Helper()
+	v, perr := ParseJSON(reply)
+	m, isObject := v.(map[string]any)
+	arr, isArray := m["docs"].([]any)
+	want := perr == nil && isObject && (m["docs"] == nil || isArray)
+	for _, d := range arr {
+		if _, ok := d.(map[string]any); !ok {
+			want = false
+		}
+	}
+	docs, fields, err := SplitDocs(reply, "docs")
+	if (err == nil) != want {
+		t.Fatalf("SplitDocs(%q): err %v; ParseJSON gives %#v, %v", reply, err, v, perr)
+	}
+	if err != nil {
+		return
+	}
+	if len(docs) != len(arr) {
+		t.Fatalf("SplitDocs(%q) found %d documents, ParseJSON %d", reply, len(docs), len(arr))
+	}
+	for i, span := range docs {
+		if got, err := ParseJSON(span); err != nil || !reflect.DeepEqual(got, arr[i]) {
+			t.Fatalf("document %d of %q: span %q parses to %#v (%v), want %#v", i, reply, span, got, err, arr[i])
+		}
+	}
+	if len(fields) != len(m) {
+		t.Fatalf("SplitDocs(%q) found %d members, ParseJSON %d", reply, len(fields), len(m))
+	}
+	for k, raw := range fields {
+		if got, err := ParseJSON(raw); err != nil || !reflect.DeepEqual(got, m[k]) {
+			t.Fatalf("member %q of %q: %q parses to %#v (%v), want %#v", k, reply, raw, got, err, m[k])
+		}
+	}
+	// A float -0 is written "-0", which reads back as the integer 0, so
+	// the bytes are canonical from the second encoding on: that is what a
+	// node writes for a document stored from JSON.
+	var enc []byte
+	for i := 0; i < 2; i++ {
+		if enc, err = AppendJSON(nil, v); err != nil {
+			t.Fatalf("AppendJSON(%#v): %v", v, err)
+		}
+		if v, err = ParseJSON(enc); err != nil {
+			t.Fatalf("ParseJSON of AppendJSON's %q: %v", enc, err)
+		}
+	}
+	encDocs, _, err := SplitDocs(enc, "docs")
+	if err != nil {
+		t.Fatalf("SplitDocs of AppendJSON's %q: %v", enc, err)
+	}
+	for _, span := range encDocs {
+		d, err := ParseJSON(span)
+		if err != nil {
+			t.Fatalf("span %q of %q: %v", span, enc, err)
+		}
+		if again, err := AppendJSON(nil, d); err != nil || !bytes.Equal(again, span) {
+			t.Fatalf("span %q re-encodes to %q (%v)", span, again, err)
+		}
+	}
+}
+
 func TestParseJSONNumbers(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -201,6 +301,16 @@ func TestParseJSONDepth(t *testing.T) {
 	}
 	if json.Unmarshal(nest(10000), new(any)) != nil {
 		t.Error("json.Unmarshal rejects 10,000 levels; the limits no longer agree")
+	}
+	// SplitDocs has the same limit: a reply and its docs array are two
+	// levels above the documents.
+	for _, n := range []int{9998, 10000} {
+		reply := append(append([]byte(`{"docs":[`), nest(n)...), "]}"...)
+		_, perr := ParseJSON(reply)
+		_, _, serr := SplitDocs(reply, "docs")
+		if (perr == nil) != (n == 9998) || (serr == nil) != (perr == nil) {
+			t.Errorf("a reply of %d-level documents: ParseJSON %v, SplitDocs %v", n, perr, serr)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -155,16 +156,64 @@ func ParseSort(spec []string) ([]SortKey, error) {
 	return keys, nil
 }
 
+// MergeKeys is the sort that partial results of one read are merged on:
+// the parsed spec, or _id ascending when the spec is empty, so every read
+// has an order to merge on.
+func MergeKeys(spec []string) ([]SortKey, error) {
+	keys, err := ParseSort(spec)
+	if err != nil || len(keys) > 0 {
+		return keys, err
+	}
+	return []SortKey{{Path: "_id"}}, nil
+}
+
 // SortDocs sorts docs in place by the given keys using the total order of
 // document.Compare. Missing fields sort before present ones (like BSON
-// null ordering). The sort is stable.
+// null ordering). The sort is stable. Each document's sort values are
+// read once (SortValues), and the sort compares those.
 func SortDocs(docs []document.D, keys []SortKey) {
-	if len(keys) == 0 {
+	if len(keys) == 0 || len(docs) < 2 {
 		return
 	}
-	sort.SliceStable(docs, func(i, j int) bool {
-		return CompareByKeys(docs[i], docs[j], keys) < 0
-	})
+	type row struct {
+		doc  document.D
+		vals []any
+	}
+	rows := make([]row, len(docs))
+	vals := make([]any, 0, len(docs)*len(keys))
+	for i, d := range docs {
+		n := len(vals)
+		vals = SortValues(vals, d, keys)
+		rows[i] = row{d, vals[n:len(vals):len(vals)]}
+	}
+	slices.SortStableFunc(rows, func(a, b row) int { return CompareSortValues(a.vals, b.vals, keys) })
+	for i := range rows {
+		docs[i] = rows[i].doc
+	}
+}
+
+// SortValues appends to dst the values CompareByKeys compares for d, in
+// key order: nil for a missing field.
+func SortValues(dst []any, d document.D, keys []SortKey) []any {
+	for _, k := range keys {
+		v, _ := d.Get(k.Path)
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// CompareSortValues compares two rows' SortValues under the keys'
+// directions: CompareByKeys of the documents they were read from.
+func CompareSortValues(a, b []any, keys []SortKey) int {
+	for i, k := range keys {
+		if c := document.Compare(a[i], b[i]); c != 0 {
+			if k.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 // CompareByKeys compares two documents under a sort specification.

@@ -57,6 +57,62 @@ func TestFindServedFromCacheUntilWrite(t *testing.T) {
 	}
 }
 
+// TestAppendFindServedFromCacheUntilWrite checks the byte read against
+// the document read: AppendFind appends what AppendJSON writes for Find's
+// result, $explain included; a repeat is a cache hit under its own key
+// (not Find's) that appends an equal copy; and a write invalidates it.
+func TestAppendFindServedFromCacheUntilWrite(t *testing.T) {
+	eng, rc, _ := cachedEngine(t)
+	eng.AddAlias("m", "gap", "band_gap")
+	for i := 0; i < 20; i++ {
+		if _, err := eng.Insert("u", "m", document.D{"_id": fmt.Sprintf("d%02d", i), "band_gap": float64(i) / 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filter := document.D{"gap": document.D{"$gte": 1.0}}
+	opts := &datastore.FindOpts{Sort: []string{"-gap"}, Limit: 5, Projection: document.D{"gap": 1}}
+	appended := func(filter document.D) (string, int) {
+		t.Helper()
+		b, n, err := eng.AppendFind([]byte("x"), "u", "m", filter, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b[1:]), n
+	}
+	found := func(filter document.D) string {
+		t.Helper()
+		docs, err := eng.Find("u", "m", filter, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := document.AppendJSON(nil, append([]document.D{}, docs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	first, n := appended(filter)
+	if want := found(filter); first != want || n != 5 {
+		t.Fatalf("AppendFind = %s (%d rows), Find encodes to %s", first, n, want)
+	}
+	if again, _ := appended(filter); again != first {
+		t.Fatalf("cached AppendFind = %s, want %s", again, first)
+	}
+	if st := rc.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 1 hit (the repeated AppendFind) and 2 misses (AppendFind, Find)", st)
+	}
+	explain := document.D{"gap": document.D{"$gte": 1.0}, "$explain": true}
+	if plan, n := appended(explain); plan != found(explain) || n != 1 {
+		t.Fatalf("$explain: AppendFind = %s (%d rows), Find encodes to %s", plan, n, found(explain))
+	}
+	if _, err := eng.Insert("u", "m", document.D{"_id": "top", "band_gap": 9.9}); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := appended(filter); after == first || after != found(filter) {
+		t.Fatalf("post-write AppendFind = %s; before the write %s", after, first)
+	}
+}
+
 func TestCountAndDistinctCached(t *testing.T) {
 	eng, rc, _ := cachedEngine(t)
 	for i := 0; i < 10; i++ {

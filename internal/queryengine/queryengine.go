@@ -40,6 +40,10 @@ type Backend interface {
 // backend. *datastore.Collection implements it directly.
 type Collection interface {
 	FindAll(filter document.D, opts *datastore.FindOpts) ([]document.D, error)
+	// AppendFind appends to dst the JSON array (document.AppendJSON's
+	// bytes) of the documents FindAll would return, and reports how many
+	// there are.
+	AppendFind(dst []byte, filter document.D, opts *datastore.FindOpts) ([]byte, int, error)
 	Count(filter document.D) (int, error)
 	Distinct(path string, filter document.D) ([]any, error)
 	UpdateOne(filter, update document.D) (datastore.UpdateResult, error)
@@ -438,58 +442,135 @@ func (e *Engine) checkRate(user string) error {
 func (e *Engine) Find(user, collection string, filter document.D, opts *datastore.FindOpts) (docs []document.D, err error) {
 	start := time.Now()
 	defer func() { e.observeOp("find", collection, filter, start, len(docs), err) }()
-	if err := e.checkRate(user); err != nil {
-		return nil, err
+	q, err := e.prepareFind(user, collection, filter, opts)
+	if err != nil || q.plan != nil {
+		return q.planResult(), err
 	}
-	f, err := e.translate(collection, document.NormalizeDoc(filter))
-	if err != nil {
-		return nil, err
-	}
-	var o *datastore.FindOpts
-	if opts != nil {
-		copyOpts := *opts
-		p, err := e.translate(collection, document.NormalizeDoc(opts.Projection))
-		if err != nil {
-			return nil, err
-		}
-		copyOpts.Projection = p
-		copyOpts.Sort = e.translateSort(collection, opts.Sort)
-		o = &copyOpts
-	}
-	coll := e.store.C(e.physical(collection))
-	// $explain in the filter flips the query into plan-only mode: the
-	// planner's decision comes back as the single result document and
-	// nothing is executed (or cached — plans describe live index state).
-	if ev, hasExplain := f["$explain"]; hasExplain {
-		delete(f, "$explain")
-		if explainTruthy(ev) {
-			plan, perr := coll.Explain(f, o)
-			if perr != nil {
-				return nil, perr
-			}
-			return []document.D{plan}, nil
-		}
-	}
-	rc := e.cache.Load()
-	if rc == nil {
-		return coll.FindAll(f, o)
-	}
-	arg, ok := cacheArg(f, o, "")
-	if !ok {
-		return coll.FindAll(f, o)
-	}
-	// Load the generation before reading: a write landing after this
-	// point produces a new generation, so the entry stored under gen can
-	// never serve a reader that starts after that write acknowledges.
-	gen := coll.Generation()
-	v, _, err := rc.GetOrCompute(rcache.KeyFor(e.physical(collection), "find", arg), gen, func() (any, error) {
-		d, cerr := coll.FindAll(f, o)
+	v, err := e.cachedRead(q.coll, q.physical, "find", q.filter, q.opts, "", func() (any, error) {
+		d, cerr := q.coll.FindAll(q.filter, q.opts)
 		return d, cerr
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.([]document.D), nil
+}
+
+// AppendFind appends to dst the JSON array of the documents Find would
+// return — the bytes document.AppendJSON writes for them — and reports
+// how many there are. The backend writes the array (a router splices the
+// bytes its nodes sent without parsing them), and the result cache holds
+// it under its own key. A cached array is shared, so it is only ever
+// copied from: appending to it could write into spare capacity another
+// reader's copy shares.
+func (e *Engine) AppendFind(dst []byte, user, collection string, filter document.D, opts *datastore.FindOpts) (out []byte, n int, err error) {
+	start := time.Now()
+	defer func() { e.observeOp("find", collection, filter, start, n, err) }()
+	q, err := e.prepareFind(user, collection, filter, opts)
+	if err != nil {
+		return dst, 0, err
+	}
+	if q.plan != nil {
+		out, err = document.AppendJSON(dst, q.planResult())
+		return out, 1, err
+	}
+	v, err := e.cachedRead(q.coll, q.physical, "findjson", q.filter, q.opts, "", func() (any, error) {
+		b, cn, cerr := q.coll.AppendFind(nil, q.filter, q.opts)
+		if cerr != nil {
+			return nil, cerr
+		}
+		return foundJSON{b, cn}, nil
+	})
+	if err != nil {
+		return dst, 0, err
+	}
+	found := v.(foundJSON)
+	return append(dst, found.array...), found.n, nil
+}
+
+// foundJSON is what AppendFind caches: a result's JSON array and its
+// length.
+type foundJSON struct {
+	array []byte
+	n     int
+}
+
+// findQuery is a find after the prologue Find and AppendFind share.
+type findQuery struct {
+	coll     Collection
+	physical string
+	filter   document.D
+	opts     *datastore.FindOpts
+	// plan is the planner's decision when the filter asked for $explain:
+	// the one document the read answers with, executing nothing.
+	plan document.D
+}
+
+// planResult is the result of an $explain read (nil for any other).
+func (q findQuery) planResult() []document.D {
+	if q.plan == nil {
+		return nil
+	}
+	return []document.D{q.plan}
+}
+
+// prepareFind is the prologue of Find and AppendFind: it charges the
+// rate limit, sanitizes and alias-translates the filter, projection and
+// sort, resolves the collection, and answers $explain.
+func (e *Engine) prepareFind(user, collection string, filter document.D, opts *datastore.FindOpts) (findQuery, error) {
+	if err := e.checkRate(user); err != nil {
+		return findQuery{}, err
+	}
+	f, err := e.translate(collection, document.NormalizeDoc(filter))
+	if err != nil {
+		return findQuery{}, err
+	}
+	var o *datastore.FindOpts
+	if opts != nil {
+		copyOpts := *opts
+		p, err := e.translate(collection, document.NormalizeDoc(opts.Projection))
+		if err != nil {
+			return findQuery{}, err
+		}
+		copyOpts.Projection = p
+		copyOpts.Sort = e.translateSort(collection, opts.Sort)
+		o = &copyOpts
+	}
+	q := findQuery{physical: e.physical(collection), filter: f, opts: o}
+	q.coll = e.store.C(q.physical)
+	// $explain in the filter flips the query into plan-only mode: the
+	// planner's decision comes back as the single result document and
+	// nothing is executed (or cached — plans describe live index state).
+	if ev, hasExplain := f["$explain"]; hasExplain {
+		delete(f, "$explain")
+		if explainTruthy(ev) {
+			if q.plan, err = q.coll.Explain(f, o); err != nil {
+				return findQuery{}, err
+			}
+		}
+	}
+	return q, nil
+}
+
+// cachedRead serves compute through the result cache, keyed by op and
+// the read's canonical arguments (cacheArg) and validated by coll's
+// generation. Without a cache, or for arguments with no cache key, it
+// computes directly.
+func (e *Engine) cachedRead(coll Collection, physical, op string, filter document.D, opts *datastore.FindOpts, field string, compute func() (any, error)) (any, error) {
+	rc := e.cache.Load()
+	if rc == nil {
+		return compute()
+	}
+	arg, ok := cacheArg(filter, opts, field)
+	if !ok {
+		return compute()
+	}
+	// Load the generation before reading: a write landing after this
+	// point produces a new generation, so the entry stored under gen can
+	// never serve a reader that starts after that write acknowledges.
+	gen := coll.Generation()
+	v, _, err := rc.GetOrCompute(rcache.KeyFor(physical, op, arg), gen, compute)
+	return v, err
 }
 
 // explainTruthy interprets the $explain flag value: false, nil and
@@ -514,26 +595,11 @@ func explainTruthy(v any) bool {
 func (e *Engine) Explain(user, collection string, filter document.D, opts *datastore.FindOpts) (plan document.D, err error) {
 	start := time.Now()
 	defer func() { e.observeOp("explain", collection, filter, start, 0, err) }()
-	if err := e.checkRate(user); err != nil {
-		return nil, err
+	q, err := e.prepareFind(user, collection, filter, opts)
+	if err != nil || q.plan != nil {
+		return q.plan, err
 	}
-	f, err := e.translate(collection, document.NormalizeDoc(filter))
-	if err != nil {
-		return nil, err
-	}
-	delete(f, "$explain")
-	var o *datastore.FindOpts
-	if opts != nil {
-		copyOpts := *opts
-		p, err := e.translate(collection, document.NormalizeDoc(opts.Projection))
-		if err != nil {
-			return nil, err
-		}
-		copyOpts.Projection = p
-		copyOpts.Sort = e.translateSort(collection, opts.Sort)
-		o = &copyOpts
-	}
-	return e.store.C(e.physical(collection)).Explain(f, o)
+	return q.coll.Explain(q.filter, q.opts)
 }
 
 func (e *Engine) translateSort(collection string, sortSpec []string) []string {
@@ -586,17 +652,9 @@ func (e *Engine) Count(user, collection string, filter document.D) (n int, err e
 	if err != nil {
 		return 0, err
 	}
-	coll := e.store.C(e.physical(collection))
-	rc := e.cache.Load()
-	if rc == nil {
-		return coll.Count(f)
-	}
-	arg, ok := cacheArg(f, nil, "")
-	if !ok {
-		return coll.Count(f)
-	}
-	gen := coll.Generation()
-	v, _, err := rc.GetOrCompute(rcache.KeyFor(e.physical(collection), "count", arg), gen, func() (any, error) {
+	physical := e.physical(collection)
+	coll := e.store.C(physical)
+	v, err := e.cachedRead(coll, physical, "count", f, nil, "", func() (any, error) {
 		cn, cerr := coll.Count(f)
 		return cn, cerr
 	})
@@ -625,17 +683,9 @@ func (e *Engine) Distinct(user, collection, field string, filter document.D) (va
 		}
 	}
 	e.mu.RUnlock()
-	coll := e.store.C(e.physical(collection))
-	rc := e.cache.Load()
-	if rc == nil {
-		return coll.Distinct(field, f)
-	}
-	arg, ok := cacheArg(f, nil, field)
-	if !ok {
-		return coll.Distinct(field, f)
-	}
-	gen := coll.Generation()
-	v, _, err := rc.GetOrCompute(rcache.KeyFor(e.physical(collection), "distinct", arg), gen, func() (any, error) {
+	physical := e.physical(collection)
+	coll := e.store.C(physical)
+	v, err := e.cachedRead(coll, physical, "distinct", f, nil, field, func() (any, error) {
 		dv, cerr := coll.Distinct(field, f)
 		return dv, cerr
 	})

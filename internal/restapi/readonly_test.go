@@ -28,8 +28,9 @@ var reads *readWatch
 // when it was taken: every stored document of the served stores, taken
 // when the engine is built, and every result the backend returns to the
 // engine, which is what the engine caches and what a cache hit hands
-// every later caller. The router's cached per-group results are the
-// documents of the routed results it holds.
+// every later caller — documents, or the JSON array AppendFind writes,
+// held as a copy of its bytes. The router's cached per-group replies are
+// the bytes those results were read or spliced from.
 type readWatch struct {
 	mu     sync.Mutex
 	held   []heldRead
@@ -51,10 +52,11 @@ func watchReads(t *testing.T) *readWatch {
 }
 
 func (w *readWatch) hold(what string, v any) {
-	b, err := document.AppendJSON(nil, v)
+	b, err := heldBytes(v)
 	if err != nil {
 		panic(fmt.Sprintf("encode %s: %v", what, err))
 	}
+	b = bytes.Clone(b) // a byte result is the value itself
 	w.mu.Lock()
 	w.held = append(w.held, heldRead{what, v, b})
 	w.mu.Unlock()
@@ -82,11 +84,33 @@ func (w *readWatch) changed() []string {
 	defer w.mu.Unlock()
 	var out []string
 	for _, h := range w.held {
-		if now, _ := document.AppendJSON(nil, h.v); !bytes.Equal(now, h.b) {
+		if now, _ := heldBytes(h.v); !bytes.Equal(now, h.b) {
 			out = append(out, fmt.Sprintf("%s:\n was %s\n now %s", h.what, h.b, now))
 		}
 	}
 	return out
+}
+
+// heldBytes is what a held value reads as now: a byte result itself, or
+// the encoding of documents and values.
+func heldBytes(v any) ([]byte, error) {
+	if raw, ok := v.([]byte); ok {
+		return raw, nil
+	}
+	return document.AppendJSON(nil, v)
+}
+
+// heldByteResults counts the byte results the watch holds.
+func (w *readWatch) heldByteResults() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := 0
+	for _, h := range w.held {
+		if _, ok := h.v.([]byte); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // hits sums the hits of every cache the watch installed.
@@ -148,6 +172,14 @@ func (c watchedCollection) FindAll(filter document.D, opts *datastore.FindOpts) 
 		c.w.hold(fmt.Sprintf("%s find %v", c.name, filter), docs)
 	}
 	return docs, err
+}
+
+func (c watchedCollection) AppendFind(dst []byte, filter document.D, opts *datastore.FindOpts) ([]byte, int, error) {
+	out, n, err := c.Collection.AppendFind(dst, filter, opts)
+	if err == nil {
+		c.w.hold(fmt.Sprintf("%s find as bytes %v", c.name, filter), out[len(dst):])
+	}
+	return out, n, err
 }
 
 func (c watchedCollection) Distinct(path string, filter document.D) ([]any, error) {
@@ -215,7 +247,9 @@ func runFixedPipelines(t *testing.T) {
 // on the standalone and the routed backend, each with a result cache,
 // it runs the Materials API suite and the fixed aggregation pipelines,
 // and requires every stored document and every result a read handed out
-// to encode to the bytes it had when it was taken.
+// — the cached JSON arrays /rest/v1/query replies are copied from among
+// them — to encode to the bytes it had when it was taken, after every
+// later request.
 func TestReadResultsStayReadOnly(t *testing.T) {
 	for _, backend := range []string{"standalone", "routed"} {
 		t.Run(backend, func(t *testing.T) {
@@ -223,8 +257,8 @@ func TestReadResultsStayReadOnly(t *testing.T) {
 			w := watchReads(t)
 			runMaterialsAPISuite(t)
 			runFixedPipelines(t)
-			if len(w.held) == 0 || w.hits() == 0 {
-				t.Fatalf("the watch held %d values over %d cache hits; it checks nothing", len(w.held), w.hits())
+			if len(w.held) == 0 || w.hits() == 0 || w.heldByteResults() == 0 {
+				t.Fatalf("the watch held %d values, %d of them byte results, over %d cache hits; it checks nothing", len(w.held), w.heldByteResults(), w.hits())
 			}
 			t.Logf("held %d stored documents and read results over %d cache hits", len(w.held), w.hits())
 			for _, c := range w.changed() {

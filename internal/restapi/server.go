@@ -340,16 +340,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, apiResponse{Valid: true, Response: []any{map[string]any(plan)}})
 		return
 	}
-	docs, err := s.Engine.Find(email, s.MaterialsCollection, req.Criteria, opts)
+	// The engine appends the result's JSON array straight into the
+	// envelope appendJSON would write around it.
+	body, n, err := s.Engine.AppendFind([]byte(`{"valid_response":true,"response":`), email, s.MaterialsCollection, req.Criteria, opts)
 	if err != nil {
 		s.writeEngineErr(w, err)
 		return
 	}
-	out := make([]any, len(docs))
-	for i, d := range docs {
-		out[i] = map[string]any(d)
-	}
-	writeJSON(w, http.StatusOK, apiResponse{Valid: true, Response: out})
+	body = strconv.AppendInt(append(body, `,"num_results":`...), int64(n), 10)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, "}\n"...))
 }
 
 // stalenessOpts reads the max_staleness query parameter (generations)

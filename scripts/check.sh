@@ -82,6 +82,7 @@ go test ./internal/query/ -run '^$' -fuzz '^FuzzFilterCompileMatch$' -fuzztime "
 go test ./internal/query/ -run '^$' -fuzz '^FuzzUpdateApply$' -fuzztime "$FUZZTIME"
 go test ./internal/document/ -run '^$' -fuzz '^FuzzDocumentPath$' -fuzztime "$FUZZTIME"
 go test ./internal/document/ -run '^$' -fuzz '^FuzzParseAppendJSON$' -fuzztime "$FUZZTIME"
+go test ./internal/document/ -run '^$' -fuzz '^FuzzSplitDocs$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzKeyEncodingOrder$' -fuzztime "$FUZZTIME"
 go test ./internal/datastore/ -run '^$' -fuzz '^FuzzGroupPartialCombine$' -fuzztime "$FUZZTIME"
 go test ./internal/cluster/wire/ -run '^$' -fuzz '^FuzzDecodeJSONBytes$' -fuzztime "$FUZZTIME"
