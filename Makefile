@@ -18,8 +18,8 @@ lint:
 test:
 	go test ./...
 
-# Full gate: vet + mplint + build + race-enabled tests + stress pass +
-# fuzz smoke.
+# Full gate: vet + mplint + build + a run of every example + race-enabled
+# tests + stress pass + fuzz smoke.
 check:
 	./scripts/check.sh
 

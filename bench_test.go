@@ -151,31 +151,6 @@ func mrReducer(_ string, vs []any) any {
 	return best
 }
 
-func BenchmarkMapReduceBuiltin(b *testing.B) {
-	tasks := mrFixture(b, benchScale.MRDocs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tasks.MapReduce(nil, mrMapper, mrReducer); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMapReduceParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tasks := mrFixture(b, benchScale.MRDocs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mapreduce.RunCollection(tasks, nil, mrMapper, mrReducer,
-					mapreduce.Config{MapWorkers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- §IV-A1: task farming ----------------------------------------------
 
 func BenchmarkTaskFarming(b *testing.B) {
@@ -517,7 +492,7 @@ func BenchmarkMapReduceParallelVsBuiltin(b *testing.B) {
 		tasks := mrFixture(b, benchScale.MRDocs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := tasks.MapReduce(nil, mrMapper, mrReducer); err != nil {
+			if _, err := mapreduce.Builtin(tasks, nil, mrMapper, mrReducer); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -527,8 +502,7 @@ func BenchmarkMapReduceParallelVsBuiltin(b *testing.B) {
 			tasks := mrFixture(b, benchScale.MRDocs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mapreduce.RunCollection(tasks, nil, mrMapper, mrReducer,
-					mapreduce.Config{MapWorkers: workers}); err != nil {
+				if _, err := mapreduce.RunCollection(tasks, nil, mrMapper, mrReducer, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,7 +3,7 @@
 // rebuilds the materials collection with the MapReduce builder, and runs
 // the standard validation & verification suite.
 //
-//	mpload -data ./mpdata -staging ./outcars -engine parallel
+//	mpload -data ./mpdata -staging ./outcars -workers 4
 package main
 
 import (
@@ -18,8 +18,7 @@ import (
 func main() {
 	dataDir := flag.String("data", "", "durable store directory (empty = in-memory)")
 	staging := flag.String("staging", "", "staging directory of *.outcar files (optional)")
-	engine := flag.String("engine", "parallel", "materials builder engine (builtin|parallel)")
-	workers := flag.Int("workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "MapReduce engine workers (0 = GOMAXPROCS)")
 	skipVV := flag.Bool("skip-vv", false, "skip validation & verification")
 	stability := flag.Bool("stability", true, "annotate materials with hull stability")
 	flag.Parse()
@@ -40,16 +39,7 @@ func main() {
 			res.Loaded, res.Skipped, len(res.Failed), res.Failed)
 	}
 
-	var eng builder.Engine
-	switch *engine {
-	case "builtin":
-		eng = builder.EngineBuiltin
-	case "parallel":
-		eng = builder.EngineParallel
-	default:
-		log.Fatalf("mpload: unknown engine %q", *engine)
-	}
-	mb := &builder.MaterialsBuilder{Store: store, Engine: eng, Workers: *workers}
+	mb := &builder.MaterialsBuilder{Store: store, Workers: *workers}
 	n, err := mb.Build()
 	if err != nil {
 		log.Fatalf("mpload: build: %v", err)

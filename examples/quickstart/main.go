@@ -3,7 +3,7 @@
 // Demonstrates the core datastore API the whole system is built on:
 // collections, Mongo-style queries (including the exact job-selection
 // query from the paper), atomic updates, find-and-modify as a task-queue
-// primitive, indexes, and the built-in MapReduce.
+// primitive, indexes, and MapReduce.
 //
 //	go run ./examples/quickstart
 package main
@@ -14,6 +14,7 @@ import (
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
+	"matproj/internal/mapreduce"
 )
 
 func main() {
@@ -65,8 +66,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Built-in MapReduce: count crystals per first element.
-	counts, err := crystals.MapReduce(nil,
+	// MapReduce: count crystals per first element.
+	counts, err := mapreduce.RunCollection(crystals, nil,
 		func(d document.D, emit func(string, any)) {
 			if els := d.GetArray("elements"); len(els) > 0 {
 				emit(els[0].(string), int64(1))
@@ -78,7 +79,7 @@ func main() {
 				n += v.(int64)
 			}
 			return n
-		})
+		}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

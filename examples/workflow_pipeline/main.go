@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("  defused   : %d need manual intervention\n", count(document.D{"state": string(fireworks.StateDefused)}))
 
 	// Post-process: tasks → materials.
-	mb := &builder.MaterialsBuilder{Store: store, Engine: builder.EngineParallel}
+	mb := &builder.MaterialsBuilder{Store: store}
 	n, err := mb.Build()
 	if err != nil {
 		log.Fatal(err)

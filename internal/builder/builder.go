@@ -10,24 +10,11 @@ package builder
 
 import (
 	"fmt"
-	"sort"
 
 	"matproj/internal/crystal"
 	"matproj/internal/datastore"
 	"matproj/internal/document"
 	"matproj/internal/mapreduce"
-)
-
-// Engine selects which MapReduce implementation a builder runs on.
-type Engine int
-
-const (
-	// EngineBuiltin uses the datastore's single-threaded MapReduce
-	// (MongoDB's JavaScript engine in the paper).
-	EngineBuiltin Engine = iota
-	// EngineParallel uses the Hadoop-style multi-worker engine —
-	// "several times faster" per §IV-B2.
-	EngineParallel
 )
 
 // MaterialsCollection is where built materials land.
@@ -41,9 +28,7 @@ const MaterialsCollection = "materials"
 // properties the dissemination tier serves.
 type MaterialsBuilder struct {
 	Store *datastore.Store
-	// Engine picks the grouping implementation; EngineBuiltin by default.
-	Engine Engine
-	// Workers bounds parallel-engine map workers (0 = GOMAXPROCS).
+	// Workers bounds the MapReduce engine's workers (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -101,15 +86,8 @@ func (b *MaterialsBuilder) Build() (int, error) {
 		return 0, fmt.Errorf("builder: MaterialsBuilder needs a store")
 	}
 	tasks := b.Store.C("tasks")
-	var groups []document.D
-	var err error
-	switch b.Engine {
-	case EngineParallel:
-		groups, err = mapreduce.RunCollection(tasks, nil, taskMapper, taskReducer,
-			mapreduce.Config{MapWorkers: b.Workers})
-	default:
-		groups, err = tasks.MapReduce(nil, taskMapper, taskReducer)
-	}
+	// groups come back sorted by structure id: a deterministic build order.
+	groups, err := mapreduce.RunCollection(tasks, nil, taskMapper, taskReducer, b.Workers)
 	if err != nil {
 		return 0, err
 	}
@@ -122,11 +100,6 @@ func (b *MaterialsBuilder) Build() (int, error) {
 	mats.EnsureOrderedIndex("elements")
 	mats.EnsureOrderedIndex("band_gap")
 	mats.EnsureOrderedIndex("nelectrons")
-
-	// Deterministic build order regardless of engine.
-	sort.Slice(groups, func(i, j int) bool {
-		return groups[i].GetString("_id") < groups[j].GetString("_id")
-	})
 
 	mps := b.Store.C("mps")
 	built := 0

@@ -69,35 +69,35 @@ func seedTasks(t *testing.T, store *datastore.Store) {
 }
 
 func TestMaterialsBuilderPicksBestTask(t *testing.T) {
-	for _, eng := range []Engine{EngineBuiltin, EngineParallel} {
+	for _, workers := range []int{1, 4} {
 		store := datastore.MustOpenMemory()
 		seedTasks(t, store)
-		mb := &MaterialsBuilder{Store: store, Engine: eng}
+		mb := &MaterialsBuilder{Store: store, Workers: workers}
 		n, err := mb.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != 2 {
-			t.Fatalf("engine %v: built %d materials, want 2", eng, n)
+			t.Fatalf("workers %d: built %d materials, want 2", workers, n)
 		}
 		alpha, err := store.C(MaterialsCollection).FindID("mat-s-alpha")
 		if err != nil {
-			t.Fatalf("engine %v: %v", eng, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		if e, _ := alpha.GetFloat("final_energy"); e != -14.0 {
-			t.Errorf("engine %v: best energy %v, want -14", eng, e)
+			t.Errorf("workers %d: best energy %v, want -14", workers, e)
 		}
 		if ntasks, _ := alpha.GetInt("ntasks"); ntasks != 2 {
-			t.Errorf("engine %v: ntasks %d, want 2", eng, ntasks)
+			t.Errorf("workers %d: ntasks %d, want 2", workers, ntasks)
 		}
 		if alpha.GetString("pretty_formula") == "" {
-			t.Errorf("engine %v: missing pretty_formula", eng)
+			t.Errorf("workers %d: missing pretty_formula", workers)
 		}
 		if !alpha.Has("structure") || !alpha.Has("initial_structure") {
-			t.Errorf("engine %v: material must carry final and initial structures", eng)
+			t.Errorf("workers %d: material must carry final and initial structures", workers)
 		}
 		if _, ok := alpha.GetFloat("e_per_atom"); !ok {
-			t.Errorf("engine %v: missing e_per_atom", eng)
+			t.Errorf("workers %d: missing e_per_atom", workers)
 		}
 	}
 }
@@ -105,7 +105,7 @@ func TestMaterialsBuilderPicksBestTask(t *testing.T) {
 func TestMaterialsBuilderRebuildIsIdempotent(t *testing.T) {
 	store := datastore.MustOpenMemory()
 	seedTasks(t, store)
-	mb := &MaterialsBuilder{Store: store, Engine: EngineParallel}
+	mb := &MaterialsBuilder{Store: store}
 	if _, err := mb.Build(); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ type Violation struct {
 // Runner executes checks and files reports.
 type Runner struct {
 	Store *datastore.Store
-	// Workers bounds the MapReduce map workers (0 = GOMAXPROCS).
+	// Workers bounds the MapReduce engine's workers (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -63,24 +63,25 @@ func (r *Runner) RunChecks(checks []Check) ([]Violation, error) {
 		if err != nil {
 			return nil, err
 		}
-		check := ck // capture
 		groups := mapreduce.Run(docs, func(d document.D, emit func(string, any)) {
 			id, _ := d["_id"].(string)
-			for _, msg := range check.Validate(d) {
+			for _, msg := range ck.Validate(d) {
 				emit(id, msg)
 			}
-		}, func(_ string, vs []any) any {
-			return vs
-		}, mapreduce.Config{MapWorkers: r.Workers, DisableCombiner: true})
+		}, flattenMessages, r.Workers)
 
 		nViol := 0
 		for _, g := range groups {
-			for _, msg := range flattenMessages(g.Value) {
+			msgs, ok := g.Value.([]any)
+			if !ok {
+				msgs = []any{g.Value} // a single message is never reduced
+			}
+			for _, msg := range msgs {
 				out = append(out, Violation{
 					Check:      ck.Name,
 					Collection: ck.Collection,
 					Key:        g.Key,
-					Message:    msg,
+					Message:    msg.(string),
 				})
 				nViol++
 			}
@@ -106,21 +107,18 @@ func (r *Runner) RunChecks(checks []Check) ([]Violation, error) {
 	return out, nil
 }
 
-// flattenMessages unpacks the reduce value: either a single message or a
-// slice of them (the reducer is skipped for single-value groups).
-func flattenMessages(v any) []string {
-	switch x := v.(type) {
-	case string:
-		return []string{x}
-	case []any:
-		var out []string
-		for _, e := range x {
-			out = append(out, flattenMessages(e)...)
+// flattenMessages is the V&V reducer. A group's values are messages or,
+// once combined, lists of them; it flattens them into one list.
+func flattenMessages(_ string, vs []any) any {
+	var out []any
+	for _, v := range vs {
+		if list, ok := v.([]any); ok {
+			out = append(out, list...)
+		} else {
+			out = append(out, v)
 		}
-		return out
-	default:
-		return nil
 	}
+	return out
 }
 
 // StandardChecks returns the stock V&V suite over a deployment's

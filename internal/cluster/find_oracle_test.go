@@ -67,7 +67,7 @@ func genFindCase(rng *rand.Rand) findCase {
 		c.opts.Sort = append(c.opts.Sort, []string{"_id", "-_id"}[rng.Intn(2)])
 	}
 	if rng.Intn(2) == 0 {
-		c.opts.Skip = rng.Intn(20)
+		c.opts.Skip = rng.Intn(30) - 10 // negative skips count as 0
 	}
 	if rng.Intn(3) > 0 {
 		c.opts.Limit = 1 + rng.Intn(15)

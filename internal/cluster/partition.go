@@ -39,7 +39,8 @@ func splitFindOpts(opts *datastore.FindOpts) (perShard *datastore.FindOpts, sort
 	}
 	o := *opts
 	sortSpec = o.Sort
-	skip, limit = o.Skip, o.Limit
+	// A negative skip counts as 0, as it does on a standalone store.
+	skip, limit = max(o.Skip, 0), o.Limit
 	o.Skip, o.Limit = 0, 0
 	// Limit pushdown: with an explicit sort, the global top (skip+limit)
 	// rows are contained in the union of each shard's top (skip+limit)

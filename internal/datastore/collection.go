@@ -254,8 +254,8 @@ func (c *Collection) replaceLocked(id string, newDoc document.D) {
 type FindOpts struct {
 	Projection document.D
 	Sort       []string // "field" or "-field"
-	Skip       int
-	Limit      int // 0 means no limit
+	Skip       int      // a negative skip counts as 0
+	Limit      int      // 0 means no limit
 	// MaxStaleness, when > 0, permits a routed read to be served by a
 	// replica whose applied replication generation lags the group head
 	// by at most this many generations. 0 (the default) keeps the read
@@ -382,7 +382,8 @@ func (c *Collection) find(filter document.D, opts *FindOpts) (rows []document.D,
 		if err != nil {
 			return nil, nil, err
 		}
-		skip, limit = opts.Skip, opts.Limit
+		// A negative skip counts as 0, whichever plan runs.
+		skip, limit = max(opts.Skip, 0), opts.Limit
 	}
 
 	c.mu.RLock()

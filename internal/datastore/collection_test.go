@@ -130,6 +130,34 @@ func TestFindSortSkipLimitProjection(t *testing.T) {
 	}
 }
 
+// TestNegativeSkipCountsAsZero reads a sorted page with a negative skip
+// through a scan and through an index walk: both return the page a skip
+// of 0 returns.
+func TestNegativeSkipCountsAsZero(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		c := MustOpenMemory().C("x")
+		for i := 0; i < 40; i++ {
+			if _, err := c.Insert(document.D{"_id": fmt.Sprintf("d%02d", i), "x": int64(39 - i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if indexed {
+			c.EnsureOrderedIndex("x")
+		}
+		want, err := c.FindAll(nil, &FindOpts{Sort: []string{"x"}, Limit: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.FindAll(nil, &FindOpts{Sort: []string{"x"}, Skip: -8, Limit: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 10 || len(want) != 10 || got[0]["_id"] != want[0]["_id"] || got[9]["_id"] != want[9]["_id"] {
+			t.Errorf("indexed=%v: skip -8 returned %d rows, skip 0 %d", indexed, len(got), len(want))
+		}
+	}
+}
+
 // TestSortedFindProjectionDropsSortField sorts on a field the
 // projection leaves out, with and without an index on it: the order is
 // the sort field's, not the stored order.

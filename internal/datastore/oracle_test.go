@@ -156,7 +156,7 @@ func (g *oracleGen) opts(hintable []string) *FindOpts {
 		}
 	}
 	if g.rng.Intn(3) == 0 {
-		o.Skip = g.rng.Intn(6)
+		o.Skip = g.rng.Intn(9) - 3 // negative skips count as 0
 	}
 	if g.rng.Intn(3) == 0 {
 		o.Limit = 1 + g.rng.Intn(10)

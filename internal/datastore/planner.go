@@ -29,7 +29,9 @@ package datastore
 // sort for free).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -532,13 +534,20 @@ func (c *Collection) candidateIDsLocked(acc *planAccess) map[string]struct{} {
 // non-multikey plans (each document appears under exactly one key).
 func (c *Collection) orderedEmitLocked(acc *planAccess, reverse bool, fn func(id string) bool) {
 	keys := acc.regionKeys()
+	bySeq := func(a, b string) int { return cmp.Compare(c.seq[a], c.seq[b]) }
+	var ids []string // reused across buckets
 	emitBucket := func(k string) bool {
 		b := acc.ord.probe(k)
-		ids := make([]string, 0, len(b))
+		if len(b) == 1 {
+			for id := range b {
+				return fn(id)
+			}
+		}
+		ids = ids[:0]
 		for id := range b {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return c.seq[ids[i]] < c.seq[ids[j]] })
+		slices.SortFunc(ids, bySeq)
 		for _, id := range ids {
 			if !fn(id) {
 				return false

@@ -3,9 +3,10 @@
 // the paper). A Store holds named Collections of JSON-like documents and
 // supports Mongo-style queries, atomic updates, find-and-modify (the
 // primitive the workflow engine uses to claim jobs), ordered secondary
-// indexes (compound, multikey over arrays), cursors, distinct, a built-in
-// single-threaded MapReduce (mimicking MongoDB's JavaScript engine), and
-// optional durability via an append-only journal plus snapshots.
+// indexes (compound, multikey over arrays), cursors, distinct, and
+// optional durability via an append-only journal plus snapshots. The
+// MapReduce engines, MongoDB's single-threaded built-in included, live in
+// package mapreduce.
 //
 // The same deployment simultaneously serves as (a) workflow state manager,
 // (b) analytics store, and (c) web back-end — the paper's first

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
@@ -159,72 +157,12 @@ func ReadChunk(path string) ([]document.D, error) {
 	return out, sc.Err()
 }
 
-// RunStaged executes a MapReduce job over a staged set with chunk-level
-// parallelism: workers read, map, and combine chunks independently, then
-// groups merge and reduce. Results are sorted by key, matching the other
-// engines' output contract.
+// RunStaged executes a MapReduce job over a staged set on the
+// mapreduce engine, one chunk file per engine chunk: workers (<= 0 means
+// GOMAXPROCS) read, map and combine chunks independently, then groups
+// merge and reduce. Results are sorted by key.
 func RunStaged(set *StagedSet, mapper mapreduce.MapFunc, reducer mapreduce.ReduceFunc, workers int) ([]mapreduce.Result, error) {
-	if workers < 1 {
-		workers = 4
-	}
-	type chunkGroups struct {
-		groups map[string][]any
-		err    error
-	}
-	results := make([]chunkGroups, len(set.Chunks))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, path := range set.Chunks {
-		wg.Add(1)
-		go func(i int, path string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			docs, err := ReadChunk(path)
-			if err != nil {
-				results[i] = chunkGroups{err: err}
-				return
-			}
-			groups := make(map[string][]any)
-			for _, d := range docs {
-				mapper(d, func(k string, v any) {
-					groups[k] = append(groups[k], document.Normalize(v))
-				})
-			}
-			// Chunk-local combine (reducer must be associative).
-			for k, vs := range groups {
-				if len(vs) > 1 {
-					groups[k] = []any{document.Normalize(reducer(k, vs))}
-				}
-			}
-			results[i] = chunkGroups{groups: groups}
-		}(i, path)
-	}
-	wg.Wait()
-	merged := make(map[string][]any)
-	for _, cg := range results {
-		if cg.err != nil {
-			return nil, cg.err
-		}
-		for k, vs := range cg.groups {
-			merged[k] = append(merged[k], vs...)
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]mapreduce.Result, 0, len(keys))
-	for _, k := range keys {
-		vs := merged[k]
-		var v any
-		if len(vs) == 1 {
-			v = vs[0]
-		} else {
-			v = document.Normalize(reducer(k, vs))
-		}
-		out = append(out, mapreduce.Result{Key: k, Value: v})
-	}
-	return out, nil
+	return mapreduce.RunChunks(len(set.Chunks), func(i int) ([]document.D, error) {
+		return ReadChunk(set.Chunks[i])
+	}, mapper, reducer, workers)
 }

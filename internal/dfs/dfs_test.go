@@ -143,7 +143,7 @@ func TestRunStagedMatchesDirectEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := mapreduce.RunCollection(store.C("tasks"), nil, countMap, sumReduce, mapreduce.Config{})
+	direct, err := mapreduce.RunCollection(store.C("tasks"), nil, countMap, sumReduce, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRunStagedMinEnergy(t *testing.T) {
 				}
 			}
 			return best
-		}, 0) // workers<1 clamps
+		}, 0) // 0 workers means GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}

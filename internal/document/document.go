@@ -94,7 +94,8 @@ func (d D) String() string {
 // is a deep copy that never aliases v.
 func Normalize(v any) any {
 	switch x := v.(type) {
-	case nil, bool, string:
+	case nil, bool, string, int64, float64:
+		// Already canonical: hand back v itself, not a re-boxed copy.
 		return x
 	case json.Number:
 		if n, ok := numberValue(string(x)); ok {
@@ -109,8 +110,6 @@ func Normalize(v any) any {
 		return int64(x)
 	case int32:
 		return int64(x)
-	case int64:
-		return x
 	case uint:
 		return int64(x)
 	case uint8:
@@ -126,8 +125,6 @@ func Normalize(v any) any {
 		return int64(x)
 	case float32:
 		return float64(x)
-	case float64:
-		return x
 	case D:
 		m := make(map[string]any, len(x))
 		for k, v := range x {

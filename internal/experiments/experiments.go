@@ -196,7 +196,7 @@ func Fig2(sc Scale) (*Fig2Result, error) {
 				n += i
 			}
 			return n
-		}, mapreduce.Config{})
+		}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func MapReduceComparison(sc Scale, workerCounts []int) ([]MRRow, error) {
 	}
 
 	start := time.Now()
-	if _, err := tasks.MapReduce(nil, mapper, reducer); err != nil {
+	if _, err := mapreduce.Builtin(tasks, nil, mapper, reducer); err != nil {
 		return nil, err
 	}
 	builtinMs := float64(time.Since(start)) / float64(time.Millisecond)
@@ -355,8 +355,7 @@ func MapReduceComparison(sc Scale, workerCounts []int) ([]MRRow, error) {
 	var rows []MRRow
 	for _, wkrs := range workerCounts {
 		start = time.Now()
-		if _, err := mapreduce.RunCollection(tasks, nil, mapper, reducer,
-			mapreduce.Config{MapWorkers: wkrs}); err != nil {
+		if _, err := mapreduce.RunCollection(tasks, nil, mapper, reducer, wkrs); err != nil {
 			return nil, err
 		}
 		parMs := float64(time.Since(start)) / float64(time.Millisecond)

@@ -1,15 +1,16 @@
-package datastore
+package mapreduce
 
 import (
 	"fmt"
 	"testing"
 
+	"matproj/internal/datastore"
 	"matproj/internal/document"
 )
 
-func seedMRTasks(tb testing.TB, n int) *Collection {
+func seedMRTasks(tb testing.TB, n int) *datastore.Collection {
 	tb.Helper()
-	c := MustOpenMemory().C("tasks")
+	c := datastore.MustOpenMemory().C("tasks")
 	for i := 0; i < n; i++ {
 		_, err := c.Insert(document.D{
 			"_id":     fmt.Sprintf("t%05d", i),
@@ -51,9 +52,9 @@ func bestEnergyReduce(_ string, values []any) any {
 	return best
 }
 
-func TestMapReduceGroupsByKey(t *testing.T) {
+func TestBuiltinGroupsByKey(t *testing.T) {
 	c := seedMRTasks(t, 100)
-	res, err := c.MapReduce(nil, bestEnergyMap, bestEnergyReduce)
+	res, err := Builtin(c, nil, bestEnergyMap, bestEnergyReduce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +77,10 @@ func TestMapReduceGroupsByKey(t *testing.T) {
 	}
 }
 
-func TestMapReduceFilterAndSingleValueSkipsReduce(t *testing.T) {
+func TestBuiltinFilterAndSingleValueSkipsReduce(t *testing.T) {
 	c := seedMRTasks(t, 30)
 	reduceCalls := 0
-	res, err := c.MapReduce(
+	res, err := Builtin(c,
 		document.D{"mps_id": "mps-003"},
 		func(d document.D, emit func(string, any)) { emit(d["_id"].(string), int64(1)) },
 		func(k string, vs []any) any { reduceCalls++; return int64(len(vs)) },
@@ -100,9 +101,9 @@ func TestMapReduceFilterAndSingleValueSkipsReduce(t *testing.T) {
 	}
 }
 
-func TestMapReduceCountPerKey(t *testing.T) {
+func TestBuiltinCountPerKey(t *testing.T) {
 	c := seedMRTasks(t, 100)
-	res, err := c.MapReduce(nil,
+	res, err := Builtin(c, nil,
 		func(d document.D, emit func(string, any)) { emit(d.GetString("mps_id"), int64(1)) },
 		func(_ string, vs []any) any {
 			var sum int64
@@ -122,34 +123,9 @@ func TestMapReduceCountPerKey(t *testing.T) {
 	}
 }
 
-func TestMapReduceInto(t *testing.T) {
-	s := MustOpenMemory()
-	c := s.C("tasks")
-	for i := 0; i < 20; i++ {
-		c.Insert(document.D{"mps_id": fmt.Sprintf("mps-%d", i%4), "energy": float64(-i)})
-	}
-	target := s.C("materials")
-	target.Insert(document.D{"stale": true})
-	n, err := c.MapReduceInto(nil, bestEnergyMap, bestEnergyReduce, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Errorf("n = %d", n)
-	}
-	cnt, _ := target.Count(nil)
-	if cnt != 4 {
-		t.Errorf("target count = %d (stale docs must be cleared)", cnt)
-	}
-	stale, _ := target.Count(document.D{"stale": true})
-	if stale != 0 {
-		t.Error("stale doc survived MapReduceInto")
-	}
-}
-
-func TestMapReduceBadFilter(t *testing.T) {
+func TestBuiltinBadFilter(t *testing.T) {
 	c := seedMRTasks(t, 5)
-	if _, err := c.MapReduce(document.D{"$bad": 1}, bestEnergyMap, bestEnergyReduce); err == nil {
+	if _, err := Builtin(c, document.D{"$bad": 1}, bestEnergyMap, bestEnergyReduce); err == nil {
 		t.Error("want error")
 	}
 }

@@ -1,15 +1,18 @@
-// Package mapreduce implements a parallel MapReduce engine over document
-// collections — the in-process stand-in for the Hadoop side of the
-// paper's §IV-B2 comparison, where a parallel framework is "several times
-// faster" than MongoDB's built-in single-threaded MapReduce.
+// Package mapreduce implements the repository's one MapReduce engine,
+// and both sides of the paper's §IV-B2 comparison run on it: the
+// Hadoop-style parallel engine, "several times faster" than MongoDB's
+// built-in single-threaded MapReduce, and that built-in baseline itself
+// (Builtin: one worker plus a serialization round trip per document).
+// The DFS pre-staging path (package dfs) feeds it chunk files instead of
+// a collection.
 //
-// The engine splits the input across M map workers, applies a combiner
-// (the reduce function on map-local partial groups, valid because reduce
-// must be associative), shuffles by key hash into R reduce partitions,
-// reduces in parallel, and merges results sorted by key. The paper also
-// notes (§IV-C2) that MapReduce "is a logical language in which to write
-// the V&V of a database"; the builder package layers its validation
-// framework on this engine.
+// The engine maps chunks of input on parallel workers, combines each
+// chunk's groups with the reduce function (valid because reduce must be
+// associative), shuffles the groups by key hash into reduce partitions,
+// reduces the partitions in parallel, and returns the results sorted by
+// key. The paper also notes (§IV-C2) that MapReduce "is a logical
+// language in which to write the V&V of a database"; the builder
+// package layers its validation framework on this engine.
 package mapreduce
 
 import (
@@ -17,40 +20,20 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"matproj/internal/datastore"
 	"matproj/internal/document"
 )
 
-// MapFunc and ReduceFunc mirror the datastore's built-in engine types so
-// the same job can run on either engine for the §IV-B2 comparison.
-type (
-	// MapFunc emits key/value pairs for one document.
-	MapFunc = datastore.MapFunc
-	// ReduceFunc folds values for a key; it must be associative because
-	// it is also used as a combiner on partial groups.
-	ReduceFunc = datastore.ReduceFunc
-)
+// MapFunc emits zero or more key/value pairs for a document.
+type MapFunc func(doc document.D, emit func(key string, value any))
 
-// Config controls engine parallelism.
-type Config struct {
-	// MapWorkers is the number of concurrent map tasks; 0 means GOMAXPROCS.
-	MapWorkers int
-	// ReduceWorkers is the number of reduce partitions; 0 means MapWorkers.
-	ReduceWorkers int
-	// DisableCombiner turns off map-side combining (for ablation).
-	DisableCombiner bool
-}
-
-func (c Config) normalized() Config {
-	if c.MapWorkers <= 0 {
-		c.MapWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.ReduceWorkers <= 0 {
-		c.ReduceWorkers = c.MapWorkers
-	}
-	return c
-}
+// ReduceFunc folds the values emitted for one key into a single value.
+// It is also run as a combiner on partial groups, so it must be
+// associative over its output type. A group with a single value is
+// never reduced.
+type ReduceFunc func(key string, values []any) any
 
 // Result is one reduced group.
 type Result struct {
@@ -58,139 +41,161 @@ type Result struct {
 	Value any
 }
 
-// Run executes the job over docs and returns one Result per distinct key,
-// sorted by key.
-func Run(docs []document.D, mapper MapFunc, reducer ReduceFunc, cfg Config) []Result {
-	cfg = cfg.normalized()
-	if len(docs) == 0 {
-		return nil
+// RunChunks executes a job over n chunks of input, loading chunk i with
+// load(i), on workers map workers and as many reduce partitions; workers
+// <= 0 means GOMAXPROCS. Every emitted value and every reducer output is
+// normalized (document.Normalize), so a job sees the same values whether
+// its input came from the store or from JSON. It returns one Result per
+// distinct key, sorted by key, or the error of the lowest-numbered chunk
+// that failed to load.
+func RunChunks(n int, load func(i int) ([]document.D, error), mapper MapFunc, reducer ReduceFunc, workers int) ([]Result, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// --- map phase, with map-local combining ---
-	type partial struct {
-		key  string
-		vals []any
-	}
-	nParts := cfg.ReduceWorkers
-	// perWorker[w][p] collects partials from map worker w for partition p.
-	perWorker := make([][]map[string][]any, cfg.MapWorkers)
+	// --- map phase: workers claim chunks; each chunk's groups are
+	// shuffled by key hash into reduce partitions and combined ---
+	// parts[w] lists map worker w's chunks, each as its groups by
+	// partition.
+	parts := make([][][]map[string][]any, min(workers, n))
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (len(docs) + cfg.MapWorkers - 1) / cfg.MapWorkers
-	for w := 0; w < cfg.MapWorkers; w++ {
-		lo := w * chunk
-		if lo >= len(docs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(docs) {
-			hi = len(docs)
-		}
+	for w := range parts {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			parts := make([]map[string][]any, nParts)
-			for i := range parts {
-				parts[i] = make(map[string][]any)
-			}
-			emit := func(key string, value any) {
-				p := partitionOf(key, nParts)
-				parts[p][key] = append(parts[p][key], value)
-			}
-			for _, d := range docs[lo:hi] {
-				mapper(d, emit)
-			}
-			if !cfg.DisableCombiner {
-				for _, m := range parts {
-					for k, vs := range m {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				docs, err := load(i)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				chunk := make([]map[string][]any, workers)
+				emit := func(key string, value any) {
+					p := partitionOf(key, workers)
+					if chunk[p] == nil {
+						chunk[p] = make(map[string][]any)
+					}
+					chunk[p][key] = append(chunk[p][key], document.Normalize(value))
+				}
+				for _, d := range docs {
+					mapper(d, emit)
+				}
+				for _, groups := range chunk {
+					for k, vs := range groups {
 						if len(vs) > 1 {
-							m[k] = []any{reducer(k, vs)}
+							groups[k] = []any{document.Normalize(reducer(k, vs))}
 						}
 					}
 				}
+				parts[w] = append(parts[w], chunk)
 			}
-			perWorker[w] = parts
-		}(w, lo, hi)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// --- reduce phase: one goroutine per partition ---
+	reduced := make([][]Result, workers)
+	for p := range reduced {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			groups := make(map[string][]any)
+			for _, chunks := range parts {
+				for _, chunk := range chunks {
+					for k, vs := range chunk[p] {
+						groups[k] = append(groups[k], vs...)
+					}
+				}
+			}
+			out := make([]Result, 0, len(groups))
+			for k, vs := range groups {
+				v := vs[0]
+				if len(vs) > 1 {
+					v = document.Normalize(reducer(k, vs))
+				}
+				out = append(out, Result{Key: k, Value: v})
+			}
+			reduced[p] = out
+		}(p)
 	}
 	wg.Wait()
 
-	// --- shuffle + reduce phase ---
-	partResults := make([][]partial, nParts)
-	var rg sync.WaitGroup
-	for p := 0; p < nParts; p++ {
-		rg.Add(1)
-		go func(p int) {
-			defer rg.Done()
-			groups := make(map[string][]any)
-			for _, parts := range perWorker {
-				if parts == nil {
-					continue
-				}
-				for k, vs := range parts[p] {
-					groups[k] = append(groups[k], vs...)
-				}
-			}
-			out := make([]partial, 0, len(groups))
-			for k, vs := range groups {
-				var v any
-				if len(vs) == 1 {
-					v = vs[0]
-				} else {
-					v = reducer(k, vs)
-				}
-				out = append(out, partial{key: k, vals: []any{v}})
-			}
-			partResults[p] = out
-		}(p)
-	}
-	rg.Wait()
-
 	// --- merge, sorted by key ---
 	total := 0
-	for _, pr := range partResults {
-		total += len(pr)
+	for _, out := range reduced {
+		total += len(out)
 	}
 	results := make([]Result, 0, total)
-	for _, pr := range partResults {
-		for _, p := range pr {
-			results = append(results, Result{Key: p.key, Value: p.vals[0]})
-		}
+	for _, out := range reduced {
+		results = append(results, out...)
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Key < results[j].Key })
-	return results
+	return results, nil
 }
 
-// RunCollection runs the job over documents matching filter in a
-// collection, returning {"_id", "value"} documents compatible with the
-// built-in engine's output.
-func RunCollection(c *datastore.Collection, filter document.D, mapper MapFunc, reducer ReduceFunc, cfg Config) ([]document.D, error) {
+// Run executes the job over docs, cut into one chunk per worker.
+func Run(docs []document.D, mapper MapFunc, reducer ReduceFunc, workers int) []Result {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	n := min(workers, len(docs))
+	res, _ := RunChunks(n, func(i int) ([]document.D, error) {
+		return docs[i*len(docs)/n : (i+1)*len(docs)/n], nil
+	}, mapper, reducer, workers)
+	return res
+}
+
+// RunCollection runs the job over the documents of c matching filter
+// and returns one {"_id": key, "value": reduced} document per key,
+// sorted by key.
+func RunCollection(c *datastore.Collection, filter document.D, mapper MapFunc, reducer ReduceFunc, workers int) ([]document.D, error) {
 	docs, err := c.FindAll(filter, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := Run(docs, mapper, reducer, cfg)
+	res := Run(docs, mapper, reducer, workers)
 	out := make([]document.D, len(res))
 	for i, r := range res {
-		out[i] = document.D{"_id": r.Key, "value": document.Normalize(r.Value)}
+		out[i] = document.D{"_id": r.Key, "value": r.Value}
 	}
 	return out, nil
 }
 
-// RunCollectionInto runs the job and replaces target's contents with the
-// results, like the built-in MapReduceInto.
-func RunCollectionInto(c *datastore.Collection, filter document.D, mapper MapFunc, reducer ReduceFunc, cfg Config, target *datastore.Collection) (int, error) {
-	res, err := RunCollection(c, filter, mapper, reducer, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := target.Remove(nil); err != nil {
-		return 0, err
-	}
-	for _, d := range res {
-		if _, err := target.Insert(d); err != nil {
-			return 0, err
+// Builtin is the §IV-B2 baseline, modelled on MongoDB's built-in
+// MapReduce, which the paper (§IV-C2) notes "is severely limited by
+// implementation within a single-threaded Javascript engine". It runs
+// RunCollection on one worker and pays a serialization round trip per
+// document before mapping it, mirroring the BSON→JS value conversion
+// that dominates Mongo's MapReduce cost.
+func Builtin(c *datastore.Collection, filter document.D, mapper MapFunc, reducer ReduceFunc) ([]document.D, error) {
+	// One worker maps every document, so rtErr is written by one
+	// goroutine and read after RunCollection has waited for it.
+	var rtErr error
+	out, err := RunCollection(c, filter, func(d document.D, emit func(string, any)) {
+		b, err := d.ToJSON()
+		if err == nil {
+			d, err = document.FromJSON(b)
 		}
+		if err != nil {
+			rtErr = err
+			return
+		}
+		mapper(d, emit)
+	}, reducer, 1)
+	if rtErr != nil {
+		return nil, rtErr
 	}
-	return len(res), nil
+	return out, err
 }
 
 func partitionOf(key string, n int) int {

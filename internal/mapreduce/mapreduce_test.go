@@ -35,29 +35,24 @@ func makeDocs(n, groups int) []document.D {
 }
 
 func TestRunCountsPerGroup(t *testing.T) {
-	for _, cfg := range []Config{
-		{},
-		{MapWorkers: 1, ReduceWorkers: 1},
-		{MapWorkers: 4, ReduceWorkers: 2},
-		{MapWorkers: 3, ReduceWorkers: 7, DisableCombiner: true},
-	} {
-		res := Run(makeDocs(1000, 10), countMap, sumReduce, cfg)
+	for _, workers := range []int{0, 1, 4, 7} {
+		res := Run(makeDocs(1000, 10), countMap, sumReduce, workers)
 		if len(res) != 10 {
-			t.Fatalf("cfg %+v: groups = %d", cfg, len(res))
+			t.Fatalf("workers %d: groups = %d", workers, len(res))
 		}
 		for i, r := range res {
 			if r.Value != int64(100) {
-				t.Errorf("cfg %+v: %s = %v", cfg, r.Key, r.Value)
+				t.Errorf("workers %d: %s = %v", workers, r.Key, r.Value)
 			}
 			if i > 0 && res[i-1].Key >= r.Key {
-				t.Fatalf("cfg %+v: results not sorted", cfg)
+				t.Fatalf("workers %d: results not sorted", workers)
 			}
 		}
 	}
 }
 
 func TestRunEmptyInput(t *testing.T) {
-	if res := Run(nil, countMap, sumReduce, Config{}); res != nil {
+	if res := Run(nil, countMap, sumReduce, 0); res != nil {
 		t.Errorf("res = %v", res)
 	}
 }
@@ -67,7 +62,7 @@ func TestRunSingleDocSkipsReduce(t *testing.T) {
 	res := Run(makeDocs(1, 1), countMap, func(k string, vs []any) any {
 		reduces++
 		return sumReduce(k, vs)
-	}, Config{MapWorkers: 2})
+	}, 2)
 	if len(res) != 1 || res[0].Value != int64(1) {
 		t.Fatalf("res = %v", res)
 	}
@@ -99,11 +94,11 @@ func TestParallelMatchesBuiltinEngine(t *testing.T) {
 		}
 		return best
 	}
-	builtin, err := c.MapReduce(nil, mapper, reducer)
+	builtin, err := Builtin(c, nil, mapper, reducer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunCollection(c, nil, mapper, reducer, Config{MapWorkers: 8, ReduceWorkers: 4})
+	parallel, err := RunCollection(c, nil, mapper, reducer, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,42 +115,10 @@ func TestParallelMatchesBuiltinEngine(t *testing.T) {
 	}
 }
 
-func TestRunCollectionInto(t *testing.T) {
-	s := datastore.MustOpenMemory()
-	c := s.C("src")
-	for i := 0; i < 40; i++ {
-		c.Insert(document.D{"group": fmt.Sprintf("g%d", i%4)})
-	}
-	target := s.C("dst")
-	target.Insert(document.D{"stale": true})
-	n, err := RunCollectionInto(c, nil, countMap, sumReduce, Config{}, target)
-	if err != nil || n != 4 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	cnt, _ := target.Count(nil)
-	if cnt != 4 {
-		t.Errorf("target count = %d", cnt)
-	}
-}
-
 func TestRunCollectionBadFilter(t *testing.T) {
 	s := datastore.MustOpenMemory()
-	if _, err := RunCollection(s.C("x"), document.D{"$bad": 1}, countMap, sumReduce, Config{}); err == nil {
+	if _, err := RunCollection(s.C("x"), document.D{"$bad": 1}, countMap, sumReduce, 0); err == nil {
 		t.Error("want error")
-	}
-}
-
-func TestCombinerOnOffSameResult(t *testing.T) {
-	docs := makeDocs(2000, 13)
-	on := Run(docs, countMap, sumReduce, Config{MapWorkers: 4})
-	off := Run(docs, countMap, sumReduce, Config{MapWorkers: 4, DisableCombiner: true})
-	if len(on) != len(off) {
-		t.Fatalf("%d vs %d", len(on), len(off))
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Errorf("mismatch at %d: %+v vs %+v", i, on[i], off[i])
-		}
 	}
 }
 
@@ -171,7 +134,7 @@ func TestQuickParallelCountInvariant(t *testing.T) {
 			docs[i] = document.D{"group": g}
 			want[g]++
 		}
-		res := Run(docs, countMap, sumReduce, Config{MapWorkers: int(workers%8) + 1, ReduceWorkers: int(workers%3) + 1})
+		res := Run(docs, countMap, sumReduce, int(workers%8)+1)
 		if len(res) != len(want) {
 			return false
 		}

@@ -159,7 +159,7 @@ func Build(cfg Config) (*Deployment, error) {
 	}
 
 	// 3. Build the materials collection (§III-B3).
-	mb := &builder.MaterialsBuilder{Store: store, Engine: builder.EngineParallel}
+	mb := &builder.MaterialsBuilder{Store: store}
 	nm, err := mb.Build()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Repository gate: vet + gofmt + mplint, build, the full test suite under the
-# race detector, a concurrency stress pass, and a short fuzz smoke over
+# Repository gate: vet + gofmt + mplint, build, a run of every example,
+# the full test suite under the race detector, a concurrency stress
+# pass, and a short fuzz smoke over
 # each fuzz target (seed corpus plus a few seconds of mutation — enough
 # to catch regressions in the filter/update/path invariants without
 # turning CI into a fuzz farm).
@@ -48,6 +49,16 @@ if [ "$lint_elapsed" -gt 60 ]; then
 fi
 echo "mplint clean in ${lint_elapsed}s (budget 60s)"
 go build ./...
+
+# Example smoke: every program under examples/ must run to completion.
+# go build alone would pass an example an API change left building but
+# panicking at run time.
+echo "examples smoke..."
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null \
+        || { echo "check.sh: example $ex exited nonzero" >&2; exit 1; }
+done
+
 go test -race ./...
 
 # Stress pass: the lock-ordering and lease/failover machinery is where
